@@ -40,12 +40,17 @@ class OptimalRoots:
     eta_minus: float
     phi_minus: float
 
-    def root(self, branch: str) -> complex:
+    def select(self, branch: str) -> tuple[float, float]:
+        """Modulus and phase (eta, phi) of the '+' or '-' root."""
         if branch == "+":
-            return self.eta_plus * cmath.exp(-1j * self.phi_plus)
+            return self.eta_plus, self.phi_plus
         if branch == "-":
-            return self.eta_minus * cmath.exp(-1j * self.phi_minus)
+            return self.eta_minus, self.phi_minus
         raise ParameterError(f"branch must be '+' or '-', got {branch!r}")
+
+    def root(self, branch: str) -> complex:
+        eta, phi = self.select(branch)
+        return eta * cmath.exp(-1j * phi)
 
 
 def optimal_coefficients(
@@ -115,12 +120,8 @@ def two_drive_settings(
     branch: str = "+",
 ) -> tuple[float, float]:
     """Qubit-drive amplitude and phase realizing the chosen optimum root."""
-    roots = optimal_drive_roots(delta_opt, j_opt, kappa, gamma)
-    if branch == "+":
-        return roots.eta_plus * eps, roots.phi_plus
-    if branch == "-":
-        return roots.eta_minus * eps, roots.phi_minus
-    raise ParameterError(f"branch must be '+' or '-', got {branch!r}")
+    eta, phi = optimal_drive_roots(delta_opt, j_opt, kappa, gamma).select(branch)
+    return eta * eps, phi
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from .analytics import (
     no_qubit_drive_optimum,
     optimal_drive_roots,
     thermal_occupation,
-    two_drive_settings,
 )
 from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ConfigError, NumericalError, PhonoblockError, SweepError
@@ -55,6 +54,7 @@ from .model import (
     collapse_ops,
     three_mode_space,
     two_mode_space,
+    with_two_drive_optimum,
 )
 from .solver import build_liouvillian, steady_state
 from .sweep import SweepResult, SweepSpec, figure_names, figure_panels, run_sweep
@@ -428,10 +428,7 @@ def _merge_model(args, detection: bool = False):
             updates[field_name] = value
     base = replace(base, **updates)
     if args.delta_opt is not None:
-        omega, phi = two_drive_settings(
-            args.delta_opt, base.j, base.kappa, base.gamma, base.eps, args.branch
-        )
-        base = replace(base, omega_drv=omega, phi=phi)
+        base = with_two_drive_optimum(base, args.delta_opt, args.branch)
     if not detection:
         return base, config
     if config is not None and isinstance(config.model, DetectionParams):

@@ -288,13 +288,7 @@ def with_two_drive_optimum(
     (delta_opt, j) for the params' damping rates; ``branch`` picks the root.
     The detuning itself is left untouched.
     """
-    from .analytics import optimal_drive_roots
+    from .analytics import two_drive_settings
 
-    roots = optimal_drive_roots(delta_opt, p.j, p.kappa, p.gamma)
-    if branch == "+":
-        eta, phi = roots.eta_plus, roots.phi_plus
-    elif branch == "-":
-        eta, phi = roots.eta_minus, roots.phi_minus
-    else:
-        raise ParameterError(f"branch must be '+' or '-', got {branch!r}")
-    return replace(p, omega_drv=eta * p.eps, phi=phi)
+    omega, phi = two_drive_settings(delta_opt, p.j, p.kappa, p.gamma, p.eps, branch)
+    return replace(p, omega_drv=omega, phi=phi)

@@ -30,8 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import kernels
-from .analytics import optimal_drive_roots, two_drive_settings
+from .analytics import optimal_drive_roots
 from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ParameterError, PhonoblockError, SweepError
 from .hilbert import lowering
@@ -46,6 +45,7 @@ from .model import (
     collapse_ops,
     three_mode_space,
     two_mode_space,
+    with_two_drive_optimum,
 )
 from .solver import build_liouvillian, steady_state, steady_state_residual
 
@@ -168,10 +168,7 @@ def _resolve_params(
     if base_updates:
         base = replace(base, **base_updates)
     if delta_opt is not None:
-        omega, phi = two_drive_settings(
-            delta_opt, base.j, base.kappa, base.gamma, base.eps, spec.root_branch
-        )
-        base = replace(base, omega_drv=omega, phi=phi)
+        base = with_two_drive_optimum(base, delta_opt, spec.root_branch)
     if isinstance(fixed, DetectionParams):
         return replace(fixed, base=base, **det_updates)
     return base
@@ -344,7 +341,6 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
         "failures": failures,
         "max_steady_residual": max_residual,
         "wall_time_s": time.perf_counter() - start,
-        "backend": kernels.active_backend(),
     }
     return SweepResult(columns=columns, column_order=order, metadata=metadata)
 

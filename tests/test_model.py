@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phonoblock.analytics import two_drive_settings
 from phonoblock.errors import ParameterError
 from phonoblock.hilbert import hermiticity_defect, lowering, make_space, number
 from phonoblock.model import (
@@ -16,6 +17,7 @@ from phonoblock.model import (
     dressed_spectrum,
     three_mode_space,
     two_mode_space,
+    with_two_drive_optimum,
     wrap_phase,
 )
 
@@ -222,3 +224,18 @@ def test_device_preset_matches_reported_numbers():
     assert mq.j == pytest.approx(124 / 9, rel=1e-12)
     assert mq.gamma == pytest.approx(26 / 9, rel=1e-12)
     assert 0.9e-5 < mq.n_th < 1.1e-5
+
+
+def test_with_two_drive_optimum_matches_two_drive_settings():
+    base = MqParams(delta=1.5, j=3.0, eps=0.2, kappa=1.2, gamma=0.8)
+    for branch in ("+", "-"):
+        p = with_two_drive_optimum(base, 3.0, branch)
+        omega, phi = two_drive_settings(3.0, 3.0, 1.2, 0.8, 0.2, branch)
+        assert p.omega_drv == omega
+        assert p.phi == phi
+        assert p.delta == base.delta
+
+
+def test_with_two_drive_optimum_rejects_bad_branch():
+    with pytest.raises(ParameterError):
+        with_two_drive_optimum(MqParams(j=3.0, eps=0.2), 3.0, "x")

@@ -1,8 +1,10 @@
-"""Liouvillian action, steady states, and RK4 propagation."""
+"""Liouvillian action, steady states, and exact propagation."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from phonoblock.correlations import g2_tau
 from phonoblock.errors import (
     EvolutionError,
     SpaceMismatchError,
@@ -28,6 +30,7 @@ from phonoblock.solver import (
     steady_state,
     trace_distance,
     trace_preservation_residual,
+    unvec,
     vec,
 )
 
@@ -172,7 +175,7 @@ def test_evolve_exponential_decay():
     rho0 = fock_dm(space, {"m": 1})
     times = [0.5, 1.0, 2.0]
     for t, state in zip(times, evolve(rho0, liou, times)):
-        assert state.mat[1, 1].real == pytest.approx(np.exp(-t), abs=1e-6)
+        assert state.mat[1, 1].real == pytest.approx(np.exp(-t), abs=1e-10)
 
 
 def test_evolve_reaches_steady_state():
@@ -190,7 +193,56 @@ def test_steady_state_is_fixed_point_of_evolve():
     liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
     rho = steady_state(liou)
     evolved = evolve(rho, liou, [10.0])[-1]
-    assert trace_distance(evolved, rho) < 1e-6
+    assert trace_distance(evolved, rho) < 1e-10
+
+
+def test_evolve_matches_dense_exponential():
+    space = make_space([("m", 3), ("q", "qubit")])
+    liou = build_liouvillian(_random_hermitian(space), _random_collapses(space))
+    rho0 = fock_dm(space, {"m": 1})
+    times = [0.0, 0.05, 0.3, 1.1, 1.2, 4.0]
+    dense = liou.matrix.toarray()
+    for t, state in zip(times, evolve(rho0, liou, times)):
+        ref = unvec(scipy.linalg.expm(t * dense) @ vec(rho0.mat), space.total_dim)
+        assert np.max(np.abs(state.mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evolve_leaves_initial_state_untouched():
+    space = two_mode_space()
+    p = MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.6, phi=0.2)
+    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    rho0 = fock_dm(space, {"m": 1})
+    before = rho0.mat.copy()
+    evolve(rho0, liou, [0.5, 2.0])
+    assert np.array_equal(rho0.mat, before)
+
+
+def test_evolve_is_bit_reproducible():
+    space = two_mode_space()
+    p = MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.6, phi=0.2)
+    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    times = np.linspace(0.0, 6.0, 13)
+    first = evolve(fock_dm(space, {"m": 1}), liou, times)
+    second = evolve(fock_dm(space, {"m": 1}), liou, times)
+    for a, b in zip(first, second):
+        assert np.array_equal(a.mat, b.mat)
+
+
+def test_g2_tau_leaves_global_rng_untouched():
+    # At the strong-coupling point ||L||_1 ~ 111, so one expm_multiply call
+    # per output interval would draw from np.random through scipy's
+    # randomized norm estimator.
+    space = two_mode_space()
+    p = MqParams(delta=10.0, j=10.0, eps=0.01)
+    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    rho = steady_state(liou)
+    np.random.seed(1234)
+    before = np.random.get_state()
+    g2_tau(liou, rho, lowering(space, "m"), [0.0, 1.0, 5.0, 20.0])
+    after = np.random.get_state()
+    assert before[0] == after[0]
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
 
 
 def test_evolved_states_remain_valid():
@@ -218,6 +270,16 @@ def test_evolve_step_underflow_guard():
     liou = build_liouvillian(
         Operator(space, np.zeros((4, 4), dtype=complex)),
         [(1e12, lowering(space, "m"))],
+    )
+    with pytest.raises(EvolutionError):
+        evolve(fock_dm(space, {"m": 1}), liou, [1.0])
+
+
+def test_evolve_rejects_non_finite_generator():
+    space = make_space([("m", 3)])
+    liou = build_liouvillian(
+        Operator(space, np.zeros((4, 4), dtype=complex)),
+        [(float("nan"), lowering(space, "m"))],
     )
     with pytest.raises(EvolutionError):
         evolve(fock_dm(space, {"m": 1}), liou, [1.0])
