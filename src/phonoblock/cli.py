@@ -28,7 +28,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -44,16 +44,11 @@ from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ConfigError, NumericalError, PhonoblockError, SweepError
 from .hilbert import expectation, lowering
 from .model import (
-    DEFAULT_CAVITY_CUTOFF,
-    DEFAULT_MECH_CUTOFF,
-    DEFAULT_MECH_CUTOFF_THREE_MODE,
     DetectionParams,
     MqParams,
-    build_h_mq,
-    build_h_total,
-    collapse_ops,
-    three_mode_space,
-    two_mode_space,
+    build_model,
+    flat_params,
+    with_flat_updates,
     with_two_drive_optimum,
 )
 from .solver import build_liouvillian, steady_state
@@ -64,10 +59,6 @@ log = logging.getLogger("phonoblock")
 OUTDIR_ENV_VAR = "PHONOBLOCK_OUTDIR"
 DEFAULT_OUTDIR = "phonoblock_out"
 
-_MODEL_KEYS = (
-    "delta", "j", "eps", "omega_drv", "phi", "kappa", "gamma", "n_th",
-    "g_om_re", "g_om_im", "gamma_cav",
-)
 _TASK_KEYS = (
     "axis1", "axis1_values", "axis1_range",
     "axis2", "axis2_values", "axis2_range",
@@ -91,18 +82,21 @@ class RunConfig:
     echo: dict
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse(section: str, key: str, raw: str, kind: type = float) -> float | int:
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from exc
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+def _config_keys(params: MqParams | DetectionParams) -> dict[str, float]:
+    """Flat params keyed as in ``[model]``: complex ``x`` splits into ``x_re``, ``x_im``."""
+    keys = {}
+    for name, v in flat_params(params).items():
+        keys.update({f"{name}_re": v.real, f"{name}_im": v.imag} if isinstance(v, complex)
+                    else {name: v})
+    return keys
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -132,8 +126,9 @@ def load_config(path: str | Path) -> RunConfig:
     model_raw = dict(parser.items("model")) if parser.has_section("model") else {}
     task_raw = dict(parser.items("task")) if parser.has_section("task") else {}
     output_raw = dict(parser.items("output")) if parser.has_section("output") else {}
+    model_keys = _config_keys(DetectionParams())
     for key in model_raw:
-        if key not in _MODEL_KEYS:
+        if key not in model_keys:
             raise ConfigError(f"unknown key {key!r} in [model]")
     for key in task_raw:
         if key not in _TASK_KEYS:
@@ -142,21 +137,15 @@ def load_config(path: str | Path) -> RunConfig:
         if key not in _OUTPUT_KEYS:
             raise ConfigError(f"unknown key {key!r} in [output]")
 
-    mq_kwargs = {}
-    for key in ("delta", "j", "eps", "omega_drv", "phi", "kappa", "gamma", "n_th"):
-        if key in model_raw:
-            mq_kwargs[key] = _parse_float("model", key, model_raw[key])
-    base = MqParams(**mq_kwargs)
-    three_mode = any(k in model_raw for k in ("g_om_re", "g_om_im", "gamma_cav"))
-    if three_mode:
-        g_re = _parse_float("model", "g_om_re", model_raw.get("g_om_re", "0.1"))
-        g_im = _parse_float("model", "g_om_im", model_raw.get("g_om_im", "0"))
-        gamma_cav = _parse_float("model", "gamma_cav", model_raw.get("gamma_cav", "10"))
-        model: MqParams | DetectionParams = DetectionParams(
-            base=base, g_om=complex(g_re, g_im), gamma_cav=gamma_cav
-        )
-    else:
-        model = base
+    given = {key: _parse("model", key, raw) for key, raw in model_raw.items()}
+    # any readout key selects the three-mode model; unset keys keep their defaults
+    model = MqParams() if set(given) <= set(flat_params(MqParams())) else DetectionParams()
+    keys = {**_config_keys(model), **given}
+    model = with_flat_updates(model, {
+        name: complex(keys[f"{name}_re"], keys[f"{name}_im"])
+        if isinstance(v, complex) else keys[name]
+        for name, v in flat_params(model).items()
+    })
 
     task: dict = {}
     for i in (1, 2):
@@ -171,33 +160,25 @@ def load_config(path: str | Path) -> RunConfig:
             )
         if values_raw is not None:
             values = tuple(
-                _parse_float("task", f"axis{i}_values", v) for v in values_raw.split(",")
+                _parse("task", f"axis{i}_values", v) for v in values_raw.split(",")
             )
         else:
             parts = range_raw.split(":")
             if len(parts) != 3:
                 raise ConfigError(f"axis{i}_range must be 'lo:hi:n', got {range_raw!r}")
-            lo = _parse_float("task", f"axis{i}_range", parts[0])
-            hi = _parse_float("task", f"axis{i}_range", parts[1])
-            n = _parse_int("task", f"axis{i}_range", parts[2])
+            lo = _parse("task", f"axis{i}_range", parts[0])
+            hi = _parse("task", f"axis{i}_range", parts[1])
+            n = _parse("task", f"axis{i}_range", parts[2], int)
             if n < 1:
                 raise ConfigError(f"axis{i}_range point count must be >= 1")
             values = tuple(np.linspace(lo, hi, n))
         task[f"axis{i}"] = (name.strip(), values)
     if "outputs" in task_raw:
         task["outputs"] = tuple(s.strip() for s in task_raw["outputs"].split(","))
-    if "tau_max" in task_raw:
-        task["tau_max"] = _parse_float("task", "tau_max", task_raw["tau_max"])
-    if "tau_points" in task_raw:
-        task["tau_points"] = _parse_int("task", "tau_points", task_raw["tau_points"])
-    if "mech_cutoff" in task_raw:
-        task["mech_cutoff"] = _parse_int("task", "mech_cutoff", task_raw["mech_cutoff"])
-    if "cavity_cutoff" in task_raw:
-        task["cavity_cutoff"] = _parse_int(
-            "task", "cavity_cutoff", task_raw["cavity_cutoff"]
-        )
-    if "delta_opt" in task_raw:
-        task["delta_opt"] = _parse_float("task", "delta_opt", task_raw["delta_opt"])
+    for key, kind in (("tau_max", float), ("tau_points", int), ("mech_cutoff", int),
+                      ("cavity_cutoff", int), ("delta_opt", float)):
+        if key in task_raw:
+            task[key] = _parse("task", key, task_raw[key], kind)
     if "root_branch" in task_raw:
         branch = task_raw["root_branch"].strip()
         if branch not in ("+", "-"):
@@ -216,17 +197,8 @@ def load_config(path: str | Path) -> RunConfig:
 def _build_echo(
     model: MqParams | DetectionParams, task_raw: dict, output: dict
 ) -> dict:
-    base = model.base if isinstance(model, DetectionParams) else model
-    model_echo = {
-        key: repr(getattr(base, key))
-        for key in ("delta", "j", "eps", "omega_drv", "phi", "kappa", "gamma", "n_th")
-    }
-    if isinstance(model, DetectionParams):
-        model_echo["g_om_re"] = repr(model.g_om.real)
-        model_echo["g_om_im"] = repr(model.g_om.imag)
-        model_echo["gamma_cav"] = repr(model.gamma_cav)
     return {
-        "model": model_echo,
+        "model": {key: repr(v) for key, v in _config_keys(model).items()},
         "task": dict(task_raw),
         "output": {
             "dir": str(output["dir"]),
@@ -379,17 +351,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) -> None:
     group = parser.add_argument_group("model (units of kappa)")
-    for name, help_text in (
-        ("delta", "detuning from the shared drive frequency"),
-        ("j", "resonator-qubit coupling"),
-        ("eps", "mechanical drive amplitude"),
-        ("omega-drv", "qubit drive amplitude"),
-        ("phi", "qubit drive phase (rad)"),
-        ("kappa", "qubit damping rate"),
-        ("gamma", "resonator damping rate"),
-        ("n-th", "thermal bath occupation"),
-    ):
-        group.add_argument(f"--{name}", type=float, default=None, help=help_text)
+    for cls in (MqParams, DetectionParams) if detection else (MqParams,):
+        for f in fields(cls):
+            if f.name != "base":
+                flag = "--" + f.name.replace("_", "-")
+                group.add_argument(flag, type=float, default=None, help=f.metadata["help"])
     group.add_argument(
         "--delta-opt",
         type=float,
@@ -401,10 +367,6 @@ def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) ->
     )
     group.add_argument("--mech-cutoff", type=int, default=None, help="phonon truncation")
     if detection:
-        group.add_argument("--g-om", type=float, default=None, help="readout coupling |G|")
-        group.add_argument(
-            "--gamma-cav", type=float, default=None, help="cavity damping rate"
-        )
         group.add_argument(
             "--cavity-cutoff", type=int, default=None, help="photon truncation"
         )
@@ -414,33 +376,16 @@ def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) ->
 def _merge_model(args, detection: bool = False):
     """Defaults < config file < explicit flags."""
     config = load_config(args.config) if args.config else None
-    if config is not None:
-        base = config.model.base if isinstance(config.model, DetectionParams) else config.model
-    else:
-        base = MqParams()
-    updates = {}
-    for field_name, arg_name in (
-        ("delta", "delta"), ("j", "j"), ("eps", "eps"), ("omega_drv", "omega_drv"),
-        ("phi", "phi"), ("kappa", "kappa"), ("gamma", "gamma"), ("n_th", "n_th"),
-    ):
-        value = getattr(args, arg_name)
-        if value is not None:
-            updates[field_name] = value
-    base = replace(base, **updates)
+    params = config.model if config is not None else MqParams()
+    if detection and isinstance(params, MqParams):
+        params = DetectionParams(base=params)
+    elif not detection and isinstance(params, DetectionParams):
+        params = params.base
+    flags = {k: v for k in flat_params(params) if (v := getattr(args, k)) is not None}
+    params = with_flat_updates(params, flags)
     if args.delta_opt is not None:
-        base = with_two_drive_optimum(base, args.delta_opt, args.branch)
-    if not detection:
-        return base, config
-    if config is not None and isinstance(config.model, DetectionParams):
-        det = replace(config.model, base=base)
-    else:
-        det = DetectionParams(base=base)
-    det_updates = {}
-    if args.g_om is not None:
-        det_updates["g_om"] = complex(args.g_om)
-    if args.gamma_cav is not None:
-        det_updates["gamma_cav"] = args.gamma_cav
-    return replace(det, **det_updates), config
+        params = with_two_drive_optimum(params, args.delta_opt, args.branch)
+    return params, config
 
 
 def _resolve_outdir(args, config: RunConfig | None) -> Path:
@@ -469,11 +414,16 @@ def _run_metadata(params, extra: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _solve(params, mech_cutoff: int | None, cavity_cutoff: int | None = None):
+    """Steady state of the params' model; returns (space, Liouvillian, rho)."""
+    space, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
+    liou = build_liouvillian(h, c_ops)
+    return space, liou, steady_state(liou)
+
+
 def _cmd_steady(args) -> int:
     params, _ = _merge_model(args)
-    space = two_mode_space(args.mech_cutoff or DEFAULT_MECH_CUTOFF)
-    liou = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space))
-    rho = steady_state(liou)
+    space, _, rho = _solve(params, args.mech_cutoff)
     b = lowering(space, "m")
     sm = lowering(space, "q")
     print(f"n_b = {mean_occupation(rho, b):.6g}")
@@ -483,11 +433,14 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_g2tau(args) -> int:
+    if args.tau_points < 1:
+        raise ConfigError(f"--tau-points must be >= 1, got {args.tau_points}")
+    # the grid linspace(0, tau_max, tau_points) must be finite and strictly ascending
+    if not 0 <= args.tau_max < math.inf or (args.tau_max == 0 and args.tau_points > 1):
+        raise ConfigError(f"--tau-max must be finite and > 0 (0 for one point), got {args.tau_max}")
     params, config = _merge_model(args)
     outdir = _resolve_outdir(args, config)
-    space = two_mode_space(args.mech_cutoff or DEFAULT_MECH_CUTOFF)
-    liou = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space))
-    rho = steady_state(liou)
+    space, liou, rho = _solve(params, args.mech_cutoff)
     b = lowering(space, "m")
     tau_grid = np.linspace(0.0, args.tau_max, args.tau_points)
     series = g2_tau(liou, rho, b, tau_grid)
@@ -553,7 +506,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     spec = _spec_from_config(config)
     outdir = _resolve_outdir(args, config)
-    result = run_sweep(spec, max_workers=args.workers)
+    result = run_sweep(spec)
     _emit_sweep(result, outdir, "sweep", config.output["plot_script"], config.echo)
     return 0
 
@@ -563,20 +516,18 @@ def _cmd_figure(args) -> int:
     outdir = _resolve_outdir(args, None)
     for name, spec in panels.items():
         log.info("running preset %s (%d points)", name, spec.n_points)
-        result = run_sweep(spec, max_workers=args.workers)
+        result = run_sweep(spec)
         _emit_sweep(result, outdir, name, not args.no_plot_script)
     return 0
 
 
 def _cmd_optimal(args) -> int:
-    kappa = args.kappa if args.kappa is not None else 1.0
-    gamma = args.gamma if args.gamma is not None else 1.0
-    delta0, j0 = no_qubit_drive_optimum(kappa, gamma)
+    delta0, j0 = no_qubit_drive_optimum(args.kappa, args.gamma)
     print(f"Delta_opt = {delta0:.6g}")
     print(f"J_opt = {j0:.6g}")
     if args.delta_opt is not None:
-        j_opt = args.j_opt if args.j_opt is not None else 3.0 * kappa
-        roots = optimal_drive_roots(args.delta_opt, j_opt, kappa, gamma)
+        j_opt = args.j_opt if args.j_opt is not None else 3.0 * args.kappa
+        roots = optimal_drive_roots(args.delta_opt, j_opt, args.kappa, args.gamma)
         print(f"two-drive roots at delta_opt = {args.delta_opt:.6g}, j_opt = {j_opt:.6g}:")
         print(f"eta_plus = {roots.eta_plus:.6g}")
         print(f"phi_plus = {roots.phi_plus:.6g}")
@@ -593,21 +544,15 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_detect(args) -> int:
     params, _ = _merge_model(args, detection=True)
-    mech_cutoff = args.mech_cutoff or DEFAULT_MECH_CUTOFF_THREE_MODE
-    cavity_cutoff = args.cavity_cutoff or DEFAULT_CAVITY_CUTOFF
-    space = three_mode_space(cavity_cutoff, mech_cutoff)
-    liou = build_liouvillian(build_h_total(params, space), collapse_ops(params, space))
-    rho = steady_state(liou)
+    space, _, rho = _solve(params, args.mech_cutoff, args.cavity_cutoff)
     a = lowering(space, "a")
     b = lowering(space, "m")
     g2_b = g2_zero(rho, b)
     g2_a = g2_zero(rho, a)
-    # two-mode reference without the readout cavity
-    mq_space = two_mode_space(mech_cutoff + 2)
-    mq_liou = build_liouvillian(
-        build_h_mq(params.base, mq_space), collapse_ops(params.base, mq_space)
-    )
-    g2_b_mq = g2_zero(steady_state(mq_liou), lowering(mq_space, "m"))
+    # two-mode reference without the readout cavity, two Fock levels deeper
+    mech_cutoff = space.factor("m").dim - 1
+    mq_space, _, mq_rho = _solve(params.base, mech_cutoff + 2)
+    g2_b_mq = g2_zero(mq_rho, lowering(mq_space, "m"))
     print(f"g2_b = {g2_b:.6g}")
     print(f"g2_a = {g2_a:.6g}")
     print(f"relative_difference = {abs(g2_a - g2_b) / g2_b:.6g}")
@@ -641,18 +586,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p.add_argument("--config", required=False, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="run a named figure preset")
     p.add_argument("name", help=f"figure ({', '.join(figure_names())}) or panel name")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--no-plot-script", action="store_true")
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("optimal", help="closed-form blockade optima")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--kappa", type=float, default=MqParams.kappa)
+    p.add_argument("--gamma", type=float, default=MqParams.gamma)
     p.add_argument("--delta-opt", type=float, default=None)
     p.add_argument("--j-opt", type=float, default=None)
     p.set_defaults(func=_cmd_optimal)

@@ -11,7 +11,8 @@ are expected in a common unit (conventionally the qubit damping ``kappa``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -48,6 +49,11 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterError(f"{name} must be > 0, got {value}")
 
 
+def _param(default: float, help_text: str):
+    """A model field whose help text also serves the CLI flag of the same name."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class MqParams:
     """Rotating-frame parameters of the driven NAMR-qubit system.
@@ -72,14 +78,14 @@ class MqParams:
         condition makes the two occupations equal).
     """
 
-    delta: float = 0.0
-    j: float = 0.0
-    eps: float = 0.0
-    omega_drv: float = 0.0
-    phi: float = 0.0
-    kappa: float = 1.0
-    gamma: float = 1.0
-    n_th: float = 0.0
+    delta: float = _param(0.0, "detuning from the shared drive frequency")
+    j: float = _param(0.0, "resonator-qubit coupling")
+    eps: float = _param(0.0, "mechanical drive amplitude")
+    omega_drv: float = _param(0.0, "qubit drive amplitude")
+    phi: float = _param(0.0, "qubit drive phase (rad)")
+    kappa: float = _param(1.0, "qubit damping rate")
+    gamma: float = _param(1.0, "resonator damping rate")
+    n_th: float = _param(0.0, "thermal bath occupation")
 
     def __post_init__(self) -> None:
         _require_finite("delta", self.delta)
@@ -104,8 +110,8 @@ class DetectionParams:
     """
 
     base: MqParams = field(default_factory=MqParams)
-    g_om: complex = 0.1
-    gamma_cav: float = 10.0
+    g_om: complex = _param(0.1, "readout coupling |G|")
+    gamma_cav: float = _param(10.0, "cavity damping rate")
 
     def __post_init__(self) -> None:
         _require_positive("gamma_cav", self.gamma_cav)
@@ -113,6 +119,26 @@ class DetectionParams:
         if not (math.isfinite(g.real) and math.isfinite(g.imag)):
             raise ParameterError(f"g_om must be finite, got {g}")
         object.__setattr__(self, "g_om", g)
+
+
+def flat_params(p: MqParams | DetectionParams) -> dict[str, float | complex]:
+    """Field -> value map, two-mode fields first, then the readout fields: the
+    schema of config files, CLI flags, sweep axes and run metadata."""
+    if isinstance(p, DetectionParams):
+        readout = {f.name: getattr(p, f.name) for f in fields(p) if f.name != "base"}
+        return {**flat_params(p.base), **readout}
+    return {f.name: getattr(p, f.name) for f in fields(p)}
+
+
+def with_flat_updates(
+    p: MqParams | DetectionParams, updates: Mapping[str, float | complex]
+) -> MqParams | DetectionParams:
+    """Apply flat field updates, routing each name to ``base`` or the readout level."""
+    if not isinstance(p, DetectionParams):
+        return replace(p, **updates)
+    base_updates = {k: v for k, v in updates.items() if hasattr(p.base, k)}
+    readout_updates = {k: v for k, v in updates.items() if k not in base_updates}
+    return replace(p, base=replace(p.base, **base_updates), **readout_updates)
 
 
 @dataclass(frozen=True)
@@ -265,6 +291,37 @@ def collapse_ops(
     return [(rate, op) for rate, op in channels if rate > 0.0]
 
 
+def model_space(
+    p: MqParams | DetectionParams,
+    mech_cutoff: int | None = None,
+    cavity_cutoff: int | None = None,
+) -> HilbertSpace:
+    """Space of the params' model; a cutoff left as None takes its default."""
+    if isinstance(p, DetectionParams):
+        return three_mode_space(
+            DEFAULT_CAVITY_CUTOFF if cavity_cutoff is None else cavity_cutoff,
+            DEFAULT_MECH_CUTOFF_THREE_MODE if mech_cutoff is None else mech_cutoff,
+        )
+    return two_mode_space(DEFAULT_MECH_CUTOFF if mech_cutoff is None else mech_cutoff)
+
+
+def build_model(
+    p: MqParams | DetectionParams,
+    mech_cutoff: int | None = None,
+    cavity_cutoff: int | None = None,
+) -> tuple[HilbertSpace, Operator, list[tuple[float, Operator]]]:
+    """Space, Hamiltonian and collapse channels of the params' model.
+
+    Cutoffs resolve as in :func:`model_space`; one below 2 raises ParameterError.
+    """
+    space = model_space(p, mech_cutoff, cavity_cutoff)
+    if isinstance(p, DetectionParams):
+        h = build_h_total(p, space)
+    else:
+        h = build_h_mq(p, space)
+    return space, h, collapse_ops(p, space)
+
+
 def dressed_spectrum(j: float, delta: float, n_max: int) -> list[tuple[int, float, float]]:
     """Eigenvalues of the undriven resonant system per excitation manifold.
 
@@ -280,15 +337,18 @@ def dressed_spectrum(j: float, delta: float, n_max: int) -> list[tuple[int, floa
 
 
 def with_two_drive_optimum(
-    p: MqParams, delta_opt: float, branch: str = "+"
-) -> MqParams:
+    p: MqParams | DetectionParams, delta_opt: float, branch: str = "+"
+) -> MqParams | DetectionParams:
     """Replace the qubit-drive settings by the interference optimum.
 
     The drive ratio and phase are taken from the closed-form roots at
     (delta_opt, j) for the params' damping rates; ``branch`` picks the root.
-    The detuning itself is left untouched.
+    The detuning itself is left untouched. Three-mode params get the optimum
+    of their two-mode base.
     """
     from .analytics import two_drive_settings
 
+    if isinstance(p, DetectionParams):
+        return replace(p, base=with_two_drive_optimum(p.base, delta_opt, branch))
     omega, phi = two_drive_settings(delta_opt, p.j, p.kappa, p.gamma, p.eps, branch)
     return replace(p, omega_drv=omega, phi=phi)

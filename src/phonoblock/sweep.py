@@ -2,11 +2,10 @@
 
 A :class:`SweepSpec` names one or two axes over fields of the baseline
 parameters, the outputs to evaluate, and optional truncation overrides. Grid
-points are independent: they run concurrently and are merged back in
-row-major axis order, so identical specs produce identical tables regardless
-of scheduling. Each solved point is re-run with the mechanical cutoff raised
-by two and flagged converged only when the steady-state correlation changes
-by less than 0.5 percent.
+points are independent and are evaluated one after another in row-major axis
+order, so identical specs produce identical tables. Each solved point is
+re-run with the mechanical cutoff raised by two and flagged converged only
+when the steady-state correlation changes by less than 0.5 percent.
 
 Drives realizing an interference optimum are derived per point when
 ``delta_opt`` is set (either as a spec field or as the pseudo-axis
@@ -22,10 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,16 +32,12 @@ from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ParameterError, PhonoblockError, SweepError
 from .hilbert import lowering
 from .model import (
-    DEFAULT_CAVITY_CUTOFF,
-    DEFAULT_MECH_CUTOFF,
-    DEFAULT_MECH_CUTOFF_THREE_MODE,
     DetectionParams,
     MqParams,
-    build_h_mq,
-    build_h_total,
-    collapse_ops,
-    three_mode_space,
-    two_mode_space,
+    build_model,
+    flat_params,
+    model_space,
+    with_flat_updates,
     with_two_drive_optimum,
 )
 from .solver import build_liouvillian, steady_state, steady_state_residual
@@ -55,9 +48,6 @@ CUTOFF_INCREMENT = 2
 SCALAR_OUTPUTS = ("g2_zero", "n_b", "g2a_zero")
 ALL_OUTPUTS = SCALAR_OUTPUTS + ("g2_tau", "eta_phi_roots")
 
-_MQ_FIELDS = ("delta", "j", "eps", "omega_drv", "phi", "kappa", "gamma", "n_th")
-_DETECTION_FIELDS = ("g_om", "gamma_cav")
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -66,7 +56,7 @@ class SweepSpec:
     ``axes`` holds one or two (field name, values) pairs; names must be
     fields of the baseline parameter type, except for the derived pseudo-axis
     ``"delta_opt"``. ``mech_cutoff`` and ``cavity_cutoff`` override the
-    default truncations.
+    default truncations; a cutoff below 2 is rejected on construction.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -86,9 +76,7 @@ class SweepSpec:
             object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         if not 1 <= len(axes) <= 2:
             raise ParameterError(f"need 1 or 2 axes, got {len(axes)}")
-        valid = set(_MQ_FIELDS) | {"delta_opt"}
-        if isinstance(self.fixed, DetectionParams):
-            valid |= set(_DETECTION_FIELDS)
+        valid = set(flat_params(self.fixed)) | {"delta_opt"}
         for name, values in axes:
             if name not in valid:
                 raise ParameterError(
@@ -118,6 +106,7 @@ class SweepSpec:
             raise ParameterError(f"root_branch must be '+' or '-', got {self.root_branch!r}")
         if self.delta_opt is not None and any(n == "delta_opt" for n, _ in axes):
             raise ParameterError("delta_opt given both as a field and as an axis")
+        model_space(self.fixed, self.mech_cutoff, self.cavity_cutoff)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -141,63 +130,27 @@ class SweepResult:
         return len(next(iter(self.columns.values())))
 
 
-def _params_dict(p: MqParams | DetectionParams) -> dict:
-    if isinstance(p, DetectionParams):
-        d = _params_dict(p.base)
-        d["g_om"] = complex(p.g_om)
-        d["gamma_cav"] = p.gamma_cav
-        return d
-    return {name: getattr(p, name) for name in _MQ_FIELDS}
-
-
 def _resolve_params(
     spec: SweepSpec, point: Mapping[str, float]
 ) -> MqParams | DetectionParams:
-    base_updates: dict[str, float] = {}
-    det_updates: dict[str, float | complex] = {}
-    delta_opt = spec.delta_opt
-    for name, value in point.items():
-        if name == "delta_opt":
-            delta_opt = value
-        elif name in _DETECTION_FIELDS:
-            det_updates[name] = value
-        else:
-            base_updates[name] = value
-    fixed = spec.fixed
-    base = fixed.base if isinstance(fixed, DetectionParams) else fixed
-    if base_updates:
-        base = replace(base, **base_updates)
+    updates = {name: value for name, value in point.items() if name != "delta_opt"}
+    params = with_flat_updates(spec.fixed, updates)
+    delta_opt = point.get("delta_opt", spec.delta_opt)
     if delta_opt is not None:
-        base = with_two_drive_optimum(base, delta_opt, spec.root_branch)
-    if isinstance(fixed, DetectionParams):
-        return replace(fixed, base=base, **det_updates)
-    return base
-
-
-def _cutoffs(spec: SweepSpec) -> tuple[int, int]:
-    three_mode = isinstance(spec.fixed, DetectionParams)
-    mech = spec.mech_cutoff or (
-        DEFAULT_MECH_CUTOFF_THREE_MODE if three_mode else DEFAULT_MECH_CUTOFF
-    )
-    cavity = spec.cavity_cutoff or DEFAULT_CAVITY_CUTOFF
-    return mech, cavity
+        params = with_two_drive_optimum(params, delta_opt, spec.root_branch)
+    return params
 
 
 def _solve_scalars(
     params: MqParams | DetectionParams,
     mech_cutoff: int,
-    cavity_cutoff: int,
+    cavity_cutoff: int | None,
     wanted: Sequence[str],
     tau_grid: Sequence[float] | None,
 ) -> tuple[dict[str, float], list[float] | None, float]:
     """One steady-state solve; returns scalars, optional tau series, residual."""
-    if isinstance(params, DetectionParams):
-        space = three_mode_space(cavity_cutoff, mech_cutoff)
-        h = build_h_total(params, space)
-    else:
-        space = two_mode_space(mech_cutoff)
-        h = build_h_mq(params, space)
-    liou = build_liouvillian(h, collapse_ops(params, space))
+    space, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
+    liou = build_liouvillian(h, c_ops)
     rho = steady_state(liou)
     b = lowering(space, "m")
     scalars: dict[str, float] = {}
@@ -214,7 +167,7 @@ def _solve_scalars(
 
 
 def _evaluate_point(
-    spec: SweepSpec, point: Mapping[str, float]
+    spec: SweepSpec, point: Mapping[str, float], mech: int, cavity: int | None
 ) -> tuple[dict[str, float], list[float] | None, bool, float, str | None]:
     """Returns (scalars, tau series, converged flag, residual, error)."""
     try:
@@ -235,7 +188,6 @@ def _evaluate_point(
             return roots_cols, None, True, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
-        mech, cavity = _cutoffs(spec)
         scalars, series, residual = _solve_scalars(
             params, mech, cavity, check_outputs, spec.tau_grid if want_tau else None
         )
@@ -271,8 +223,8 @@ def _column_order(spec: SweepSpec) -> list[str]:
     return order
 
 
-def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
-    """Execute a sweep; rows follow row-major axis order deterministically.
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Execute a sweep point by point; rows follow row-major axis order.
 
     Raises
     ------
@@ -283,13 +235,12 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
     axis_names = [name for name, _ in spec.axes]
     grid = list(itertools.product(*(vals for _, vals in spec.axes)))
     points = [dict(zip(axis_names, combo)) for combo in grid]
-    if max_workers is None:
-        max_workers = min(8, os.cpu_count() or 1)
-    if max_workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda pt: _evaluate_point(spec, pt), points))
-    else:
-        results = [_evaluate_point(spec, pt) for pt in points]
+    # cutoffs with their defaults applied, for every point and for the metadata
+    space = model_space(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
+    three_mode = isinstance(spec.fixed, DetectionParams)
+    mech = space.factor("m").dim - 1
+    cavity = space.factor("a").dim - 1 if three_mode else None
+    results = [_evaluate_point(spec, pt, mech, cavity) for pt in points]
 
     order = _column_order(spec)
     n = len(points)
@@ -320,17 +271,16 @@ def run_sweep(spec: SweepSpec, max_workers: int | None = None) -> SweepResult:
             f"all {n} grid points failed; first error: {failures[0][1]}"
         )
 
-    mech, cavity = _cutoffs(spec)
     metadata = {
-        "fixed_params": _params_dict(spec.fixed),
-        "model": "three_mode" if isinstance(spec.fixed, DetectionParams) else "two_mode",
+        "fixed_params": flat_params(spec.fixed),
+        "model": "three_mode" if three_mode else "two_mode",
         "axes": [
             {"name": name, "n": len(vals), "min": min(vals), "max": max(vals)}
             for name, vals in spec.axes
         ],
         "outputs": list(spec.outputs),
         "mech_cutoff": mech,
-        "cavity_cutoff": cavity if isinstance(spec.fixed, DetectionParams) else None,
+        "cavity_cutoff": cavity,
         "convergence_cutoff_increment": CUTOFF_INCREMENT,
         "convergence_rtol": CONVERGENCE_RTOL,
         "tau_grid": list(spec.tau_grid) if spec.tau_grid else None,

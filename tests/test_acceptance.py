@@ -14,9 +14,11 @@ strict rather than loosened, so they fail honestly:
 * criterion 7 requires photon and phonon statistics to agree within 10
   percent across the full detuning sweep at cavity damping ten times the
   qubit damping; the residual adiabaticity corrections at that ratio reach
-  25 percent at the blockade dip and more at large detuning (they drop
-  below 1 percent once the damping ratio reaches thirty, confirming the
-  mechanism).
+  25 percent at the blockade dip (delta = 3) and 237 percent at
+  delta = -7.5, the worst point of the scan. At a damping ratio of thirty
+  they drop to 0.9 percent at the dip, which confirms the mechanism, but
+  still reach 28 percent far from it (delta = -8.4), so raising the ratio
+  alone would not meet the bound across the full sweep.
 """
 
 import math

@@ -63,6 +63,18 @@ def test_unknown_flag_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_g2tau_single_point_at_zero_delay(tmp_path, capsys):
+    code = cli_main(
+        [
+            "--outdir", str(tmp_path), "g2tau", "--j", "0.7", "--eps", "0.01",
+            "--tau-max", "0", "--tau-points", "1",
+        ]
+    )
+    assert code == 0
+    capsys.readouterr()
+    assert len((tmp_path / "g2tau.csv").read_text().splitlines()) == 2
+
+
 def test_g2tau_csv(tmp_path, capsys):
     code = cli_main(
         [
@@ -129,7 +141,7 @@ def test_figure_fig7_outputs(tmp_path):
 def test_figure_fig3b_minimum(tmp_path):
     # detuning scan at the rounded interference optimum reaches the deep
     # blockade minimum near 0.003
-    code = cli_main(["--outdir", str(tmp_path), "figure", "fig3b", "--workers", "4"])
+    code = cli_main(["--outdir", str(tmp_path), "figure", "fig3b"])
     assert code == 0
     lines = (tmp_path / "fig3b.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -142,6 +154,51 @@ def test_figure_fig3b_minimum(tmp_path):
         if abs(float(cells[j_col]) - 0.71) < 1e-9:
             best = min(best, float(cells[g2_col]))
     assert 0.0015 <= best <= 0.006
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tau-points", "0"), ("--tau-points", "-3"),
+        ("--tau-max", "-1"), ("--tau-max", "0"), ("--tau-max", "nan"), ("--tau-max", "inf"),
+    ],
+)
+def test_g2tau_rejects_bad_tau_grid(tmp_path, capsys, flag, value):
+    code = cli_main(
+        ["--outdir", str(tmp_path), "g2tau", "--j", "0.7", "--eps", "0.01", flag, value]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and flag in err
+    assert not (tmp_path / "g2tau.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", "--j", "1", "--eps", "0.01", "--mech-cutoff", "0"],
+        ["g2tau", "--j", "1", "--eps", "0.01", "--mech-cutoff", "0"],
+        ["detect", "--j", "1", "--eps", "0.01", "--mech-cutoff", "0"],
+        ["detect", "--j", "1", "--eps", "0.01", "--cavity-cutoff", "0"],
+    ],
+)
+def test_zero_cutoff_flag_is_config_error(tmp_path, capsys, argv):
+    # an explicit 0 is a bad cutoff, not a request for the default
+    assert cli_main(["--outdir", str(tmp_path)] + argv) == 1
+    assert "cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["mech_cutoff", "cavity_cutoff"])
+def test_zero_cutoff_config_key_is_config_error(tmp_path, capsys, key):
+    config_path = tmp_path / "zero.cfg"
+    config_path.write_text(
+        "[model]\nj = 1.0\neps = 0.01\ngamma_cav = 10\n\n"
+        f"[task]\naxis1 = delta\naxis1_values = 0.0\n{key} = 0\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(config_path)]) == 1
+    assert "cutoff" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_unknown_figure_name(capsys):
@@ -280,6 +337,67 @@ def test_fig10b_style_config_round_trip(tmp_path, capsys):
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
         tmp_path / "b" / "sweep.csv"
     ).read_bytes()
+
+
+def test_three_mode_config_round_trip(tmp_path, capsys):
+    # complex readout coupling and a non-default cavity damping survive the echo
+    config_path = tmp_path / "three.cfg"
+    config_path.write_text(
+        "[model]\n"
+        "j = 3.0\n"
+        "eps = 0.2\n"
+        "n_th = 1e-3\n"
+        "g_om_re = 0.1\n"
+        "g_om_im = 0.05\n"
+        "gamma_cav = 20\n"
+        "\n"
+        "[task]\n"
+        "axis1 = delta\n"
+        "axis1_values = -1.0, 3.0\n"
+        "outputs = g2a_zero, g2_zero\n"
+        "delta_opt = 3.0\n"
+        "mech_cutoff = 3\n"
+        "cavity_cutoff = 2\n"
+        "\n"
+        "[output]\n"
+        f"dir = {tmp_path / 'a'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "a" / "sweep.meta.json").read_text())
+    assert meta["model"] == "three_mode"
+    echo = meta["config_echo"]
+    assert echo["model"]["g_om_im"] == "0.05"
+    assert echo["model"]["gamma_cav"] == "20.0"
+    echo["output"]["dir"] = str(tmp_path / "b")
+    (tmp_path / "rerun.cfg").write_text(render_config(echo))
+    assert cli_main(["sweep", "--config", str(tmp_path / "rerun.cfg")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (
+        tmp_path / "b" / "sweep.csv"
+    ).read_bytes()
+
+
+def test_detect_precedence_flags_over_config_over_defaults(tmp_path, capsys):
+    config_path = tmp_path / "detect.cfg"
+    config_path.write_text(
+        "[model]\ndelta = 3\nj = 3\neps = 0.2\nn_th = 1e-3\n"
+        "g_om_re = 0.2\ngamma_cav = 20\n"
+    )
+    common = ["--delta-opt", "3", "--mech-cutoff", "3", "--cavity-cutoff", "2"]
+
+    def detect(*argv):
+        assert cli_main(["detect", *argv, *common]) == 0
+        return capsys.readouterr().out
+
+    from_config = detect("--config", str(config_path), "--gamma-cav", "15")
+    from_flags = detect(
+        "--delta", "3", "--j", "3", "--eps", "0.2", "--n-th", "1e-3",
+        "--g-om", "0.2", "--gamma-cav", "15",
+    )
+    # the config replaces every default it names; the flag replaces the config
+    assert from_config == from_flags
+    assert detect("--config", str(config_path)) != from_config
 
 
 def test_csv_na_sentinel_for_failed_rows(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Hamiltonian assembly, collapse channels, and the dressed ladder."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from phonoblock.model import (
     _drive_terms,
     build_h_mq,
     build_h_total,
+    build_model,
     collapse_ops,
     device_preset,
     dressed_spectrum,
+    flat_params,
     three_mode_space,
     two_mode_space,
+    with_flat_updates,
     with_two_drive_optimum,
     wrap_phase,
 )
@@ -239,3 +244,49 @@ def test_with_two_drive_optimum_matches_two_drive_settings():
 def test_with_two_drive_optimum_rejects_bad_branch():
     with pytest.raises(ParameterError):
         with_two_drive_optimum(MqParams(j=3.0, eps=0.2), 3.0, "x")
+
+
+def test_with_two_drive_optimum_sets_three_mode_base():
+    base = MqParams(j=3.0, eps=0.2)
+    det = with_two_drive_optimum(DetectionParams(base=base, gamma_cav=20.0), 3.0, "-")
+    assert det.base == with_two_drive_optimum(base, 3.0, "-")
+    assert det.gamma_cav == 20.0
+
+
+def test_flat_params_schema_and_round_trip():
+    p = DetectionParams(
+        base=MqParams(delta=1.5, j=2.0, eps=0.3, phi=0.4, n_th=0.01),
+        g_om=0.2 + 0.1j,
+        gamma_cav=30.0,
+    )
+    flat = flat_params(p)
+    assert list(flat) == [f.name for f in fields(MqParams)] + ["g_om", "gamma_cav"]
+    assert flat_params(p.base) == {k: flat[k] for k in flat_params(MqParams())}
+    assert with_flat_updates(DetectionParams(), flat) == p
+    q = with_flat_updates(p, {"j": 4.0, "gamma_cav": 5.0})
+    assert (q.base.j, q.gamma_cav, q.base.delta, q.g_om) == (4.0, 5.0, 1.5, p.g_om)
+
+
+def test_build_model_picks_space_and_default_cutoffs():
+    p = MqParams(j=1.0, eps=0.1)
+    space, h, c_ops = build_model(p)
+    assert space == two_mode_space()
+    assert np.array_equal(h.mat, build_h_mq(p, space).mat)
+    assert len(c_ops) == 2
+    det = DetectionParams(base=MqParams(j=1.0, eps=0.1))
+    space3, h3, c_ops3 = build_model(det, mech_cutoff=4)
+    assert space3 == three_mode_space(mech_cutoff=4)
+    assert len(c_ops3) == len(collapse_ops(det, space3)) == 3
+
+
+@pytest.mark.parametrize(
+    "params, cutoffs",
+    [
+        (MqParams(), {"mech_cutoff": 0}),
+        (DetectionParams(), {"mech_cutoff": 0}),
+        (DetectionParams(), {"cavity_cutoff": 0}),
+    ],
+)
+def test_build_model_rejects_zero_cutoff(params, cutoffs):
+    with pytest.raises(ParameterError, match="cutoff"):
+        build_model(params, **cutoffs)

@@ -25,7 +25,7 @@ def test_grid_rows_in_row_major_order():
         axes=(("delta", (0.0, 1.0, 2.0)), ("j", (5.0, 6.0, 7.0))),
         fixed=WEAK,
     )
-    result = run_sweep(spec, max_workers=2)
+    result = run_sweep(spec)
     assert result.n_rows == 9
     assert list(result.columns["delta"]) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert list(result.columns["j"]) == [5, 6, 7, 5, 6, 7, 5, 6, 7]
@@ -64,8 +64,8 @@ def test_identical_specs_give_identical_columns():
         fixed=WEAK,
         outputs=("g2_zero", "n_b"),
     )
-    a = run_sweep(spec, max_workers=1)
-    b = run_sweep(spec, max_workers=4)
+    a = run_sweep(spec)
+    b = run_sweep(spec)
     for name in a.column_order:
         assert np.array_equal(a.columns[name], b.columns[name]), name
 
@@ -238,3 +238,16 @@ def test_fig11_preset_parameters():
     assert spec.fixed.base.j == pytest.approx(3.0)
     assert spec.delta_opt == pytest.approx(3.0)
     assert set(spec.outputs) == {"g2a_zero", "g2_zero"}
+
+
+@pytest.mark.parametrize(
+    "fixed, cutoffs",
+    [
+        (WEAK, {"mech_cutoff": 0}),
+        (DetectionParams(base=WEAK), {"mech_cutoff": 0}),
+        (DetectionParams(base=WEAK), {"cavity_cutoff": 0}),
+    ],
+)
+def test_zero_cutoff_rejected_on_construction(fixed, cutoffs):
+    with pytest.raises(ParameterError, match="cutoff"):
+        SweepSpec(axes=(("delta", (0.0,)),), fixed=fixed, **cutoffs)
