@@ -196,10 +196,10 @@ def thermal_occupation(freq_hz: float, temp_k: float) -> float:
     Uses exact SI values of hbar and the Boltzmann constant; returns 0 at
     zero temperature.
     """
-    if freq_hz <= 0:
-        raise ParameterError(f"frequency must be positive, got {freq_hz}")
-    if temp_k < 0:
-        raise ParameterError(f"temperature must be non-negative, got {temp_k}")
+    if not 0 < freq_hz < math.inf:
+        raise ParameterError(f"frequency must be positive and finite, got {freq_hz}")
+    if not 0 <= temp_k < math.inf:
+        raise ParameterError(f"temperature must be non-negative and finite, got {temp_k}")
     if temp_k == 0.0:
         return 0.0
     x = 2.0 * math.pi * HBAR * freq_hz / (K_B * temp_k)

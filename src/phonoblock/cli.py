@@ -52,7 +52,8 @@ from .model import (
     with_two_drive_optimum,
 )
 from .solver import build_liouvillian, steady_state
-from .sweep import SweepResult, SweepSpec, figure_names, figure_panels, run_sweep
+from .sweep import (DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS, SweepResult, SweepSpec,
+                    figure_names, figure_panels, run_sweep)
 
 log = logging.getLogger("phonoblock")
 
@@ -467,8 +468,8 @@ def _spec_from_config(config: RunConfig) -> SweepSpec:
     outputs = task.get("outputs", ("g2_zero",))
     tau_grid = None
     if "g2_tau" in outputs:
-        tau_max = task.get("tau_max", 3.0 * 2.0 * math.pi)
-        tau_points = task.get("tau_points", 121)
+        tau_max = task.get("tau_max", DEFAULT_TAU_MAX)
+        tau_points = task.get("tau_points", DEFAULT_TAU_POINTS)
         tau_grid = tuple(np.linspace(0.0, tau_max, tau_points))
     return SweepSpec(
         axes=tuple(axes),
@@ -580,8 +581,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("g2tau", help="delayed correlation series to CSV")
     _add_model_args(p)
-    p.add_argument("--tau-max", type=float, default=3.0 * 2.0 * math.pi)
-    p.add_argument("--tau-points", type=int, default=121)
+    p.add_argument("--tau-max", type=float, default=DEFAULT_TAU_MAX)
+    p.add_argument("--tau-points", type=int, default=DEFAULT_TAU_POINTS)
     p.set_defaults(func=_cmd_g2tau)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")

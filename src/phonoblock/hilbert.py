@@ -56,22 +56,13 @@ class HilbertSpace:
         return tuple(f.label for f in self.factors)
 
     def factor(self, label: str) -> Factor:
-        for f in self.factors:
-            if f.label == label:
-                return f
-        raise ParameterError(f"no factor labelled {label!r} in space {self.labels}")
+        return self.factors[self.factor_index(label)]
 
     def factor_index(self, label: str) -> int:
         for i, f in enumerate(self.factors):
             if f.label == label:
                 return i
         raise ParameterError(f"no factor labelled {label!r} in space {self.labels}")
-
-    def bosons(self) -> tuple[Factor, ...]:
-        return tuple(f for f in self.factors if f.kind == "boson")
-
-    def qubits(self) -> tuple[Factor, ...]:
-        return tuple(f for f in self.factors if f.kind == "qubit")
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{f.label}:{f.kind}({f.dim})" for f in self.factors)

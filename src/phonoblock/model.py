@@ -192,9 +192,14 @@ def device_preset() -> tuple[LabFrameParams, MqParams]:
     return lab, mq
 
 
+# Factor labels in Kronecker order; every builder requires exactly these.
+_TWO_MODE_LABELS = ("m", "q")  # NAMR, qubit
+_THREE_MODE_LABELS = ("a", "m", "q")  # readout cavity, NAMR, qubit
+
+
 def two_mode_space(mech_cutoff: int = DEFAULT_MECH_CUTOFF) -> HilbertSpace:
     """Mechanical mode (label ``m``) tensor qubit (label ``q``)."""
-    return make_space([("m", mech_cutoff), ("q", "qubit")])
+    return make_space(zip(_TWO_MODE_LABELS, (mech_cutoff, "qubit")))
 
 
 def three_mode_space(
@@ -202,34 +207,27 @@ def three_mode_space(
     mech_cutoff: int = DEFAULT_MECH_CUTOFF_THREE_MODE,
 ) -> HilbertSpace:
     """Cavity (``a``) tensor mechanical mode (``m``) tensor qubit (``q``)."""
-    return make_space([("a", cavity_cutoff), ("m", mech_cutoff), ("q", "qubit")])
+    return make_space(zip(_THREE_MODE_LABELS, (cavity_cutoff, mech_cutoff, "qubit")))
 
 
-def _mq_factor_labels(space: HilbertSpace) -> tuple[str, str]:
-    bosons = space.bosons()
-    qubits = space.qubits()
-    if len(bosons) != 1 or len(qubits) != 1:
-        raise ParameterError(
-            "two-mode model needs exactly one boson and one qubit factor, "
-            f"got {space!r}"
-        )
-    return bosons[0].label, qubits[0].label
+def _lowering_ops(space: HilbertSpace, labels: tuple[str, ...]) -> list[Operator]:
+    """Lowering operators of ``space`` in label order; other labels raise."""
+    if space.labels != labels:
+        raise ParameterError(f"model needs factors labelled {labels}, got {space!r}")
+    return [lowering(space, label) for label in labels]
 
 
-def _detection_factor_labels(space: HilbertSpace) -> tuple[str, str, str]:
-    bosons = space.bosons()
-    qubits = space.qubits()
-    if len(bosons) != 2 or len(qubits) != 1:
-        raise ParameterError(
-            "three-mode model needs two boson factors (cavity first, then "
-            f"mechanical) and one qubit, got {space!r}"
-        )
-    return bosons[0].label, bosons[1].label, qubits[0].label
-
-
-def _drive_terms(eps: float, omega_drv: float, phi: float, b: Operator, sm: Operator) -> Operator:
-    half = omega_drv * np.exp(-1j * phi) * sm.dag() + eps * b.dag()
-    return half + half.dag()
+def _h_two_mode_terms(p: MqParams, modes: list[Operator]) -> Operator:
+    """delta times the summed number operator of ``modes`` (one rounded product
+    per diagonal entry), plus the coupling and drive terms of their last two
+    entries, NAMR ``b`` and qubit ``sm``."""
+    *_, b, sm = modes
+    n_total = modes[0].dag() @ modes[0]
+    for op in modes[1:]:
+        n_total = n_total + op.dag() @ op
+    h = p.delta * n_total + p.j * (sm.dag() @ b + b.dag() @ sm)
+    half = p.omega_drv * np.exp(-1j * p.phi) * sm.dag() + p.eps * b.dag()
+    return h + (half + half.dag())
 
 
 def build_h_mq(p: MqParams, space: HilbertSpace) -> Operator:
@@ -238,11 +236,7 @@ def build_h_mq(p: MqParams, space: HilbertSpace) -> Operator:
     H = delta (sigma+ sigma- + b'b) + j (sigma+ b + b' sigma-)
         + (omega_drv e^{-i phi} sigma+ + eps b' + h.c.)
     """
-    m_label, q_label = _mq_factor_labels(space)
-    b = lowering(space, m_label)
-    sm = lowering(space, q_label)
-    h = p.delta * (sm.dag() @ sm + b.dag() @ b) + p.j * (sm.dag() @ b + b.dag() @ sm)
-    return h + _drive_terms(p.eps, p.omega_drv, p.phi, b, sm)
+    return _h_two_mode_terms(p, _lowering_ops(space, _TWO_MODE_LABELS))
 
 
 def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
@@ -251,15 +245,10 @@ def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
     Adds delta a'a + (g_om a'b + conj(g_om) a b') to the two-mode terms. The
     cavity detuning is tied to the shared rotating frame.
     """
-    a_label, m_label, q_label = _detection_factor_labels(space)
-    a = lowering(space, a_label)
-    b = lowering(space, m_label)
-    sm = lowering(space, q_label)
-    base = p.base
-    h = base.delta * (a.dag() @ a + b.dag() @ b + sm.dag() @ sm)
-    h = h + p.g_om * (a.dag() @ b) + np.conj(p.g_om) * (a @ b.dag())
-    h = h + base.j * (sm.dag() @ b + b.dag() @ sm)
-    return h + _drive_terms(base.eps, base.omega_drv, base.phi, b, sm)
+    modes = _lowering_ops(space, _THREE_MODE_LABELS)
+    a, b, _ = modes
+    h = _h_two_mode_terms(p.base, modes)
+    return h + p.g_om * (a.dag() @ b) + np.conj(p.g_om) * (a @ b.dag())
 
 
 def collapse_ops(
@@ -271,23 +260,18 @@ def collapse_ops(
     cavity channel (three-mode only) is a plain decay at rate ``gamma_cav``.
     Zero-rate entries are omitted.
     """
-    if isinstance(p, DetectionParams):
-        a_label, m_label, q_label = _detection_factor_labels(space)
-        base = p.base
-        cavity = [(p.gamma_cav, lowering(space, a_label))]
-    else:
-        m_label, q_label = _mq_factor_labels(space)
-        base = p
-        cavity = []
-    b = lowering(space, m_label)
-    sm = lowering(space, q_label)
+    three_mode = isinstance(p, DetectionParams)
+    base = p.base if three_mode else p
+    labels = _THREE_MODE_LABELS if three_mode else _TWO_MODE_LABELS
+    *cavity, b, sm = _lowering_ops(space, labels)
     channels = [
         (base.gamma * (base.n_th + 1.0), b),
         (base.gamma * base.n_th, b.dag()),
         (base.kappa * (base.n_th + 1.0), sm),
         (base.kappa * base.n_th, sm.dag()),
     ]
-    channels.extend(cavity)
+    if three_mode:
+        channels.append((p.gamma_cav, cavity[0]))
     return [(rate, op) for rate, op in channels if rate > 0.0]
 
 
@@ -315,11 +299,8 @@ def build_model(
     Cutoffs resolve as in :func:`model_space`; one below 2 raises ParameterError.
     """
     space = model_space(p, mech_cutoff, cavity_cutoff)
-    if isinstance(p, DetectionParams):
-        h = build_h_total(p, space)
-    else:
-        h = build_h_mq(p, space)
-    return space, h, collapse_ops(p, space)
+    build_h = build_h_total if isinstance(p, DetectionParams) else build_h_mq
+    return space, build_h(p, space), collapse_ops(p, space)
 
 
 def dressed_spectrum(j: float, delta: float, n_max: int) -> list[tuple[int, float, float]]:

@@ -191,17 +191,17 @@ def evolve(
     Raises
     ------
     EvolutionError
-        On a non-ascending grid, a generator so stiff that the grid needs
-        more than ``MAX_SUBSTEPS`` sub-steps, NaN contamination, or trace
-        drift beyond tolerance.
+        On a grid that is not finite, non-negative and strictly ascending, a
+        generator so stiff that the grid needs more than ``MAX_SUBSTEPS``
+        sub-steps, NaN contamination, or trace drift beyond tolerance.
     """
     if rho0.space != liou.space:
         raise SpaceMismatchError("initial state and Liouvillian on different spaces")
     times = [float(t) for t in t_grid]
     if not times:
         return []
-    if times[0] < 0.0:
-        raise EvolutionError(f"t_grid must start at >= 0, got {times[0]}")
+    if not all(0.0 <= t < np.inf for t in times):
+        raise EvolutionError("t_grid times must be finite and >= 0")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise EvolutionError("t_grid must be strictly ascending")
 

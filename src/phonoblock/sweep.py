@@ -22,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analytics import optimal_drive_roots
+from .analytics import OptimalRoots, optimal_drive_roots
 from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ParameterError, PhonoblockError, SweepError
 from .hilbert import lowering
@@ -98,10 +98,10 @@ class SweepSpec:
         if "g2_tau" in self.outputs:
             if not self.tau_grid:
                 raise ParameterError("g2_tau output requires tau_grid")
-            if any(t < 0 for t in self.tau_grid) or any(
+            if not all(0 <= t < math.inf for t in self.tau_grid) or any(
                 b <= a for a, b in zip(self.tau_grid, self.tau_grid[1:])
             ):
-                raise ParameterError("tau_grid must be ascending and non-negative")
+                raise ParameterError("tau_grid must be finite, ascending and non-negative")
         if self.root_branch not in ("+", "-"):
             raise ParameterError(f"root_branch must be '+' or '-', got {self.root_branch!r}")
         if self.delta_opt is not None and any(n == "delta_opt" for n, _ in axes):
@@ -176,12 +176,7 @@ def _evaluate_point(
         if "eta_phi_roots" in spec.outputs:
             base = params.base if isinstance(params, DetectionParams) else params
             roots = optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)
-            roots_cols = {
-                "eta_plus": roots.eta_plus,
-                "phi_plus": roots.phi_plus,
-                "eta_minus": roots.eta_minus,
-                "phi_minus": roots.phi_minus,
-            }
+            roots_cols = asdict(roots)
         solve_wanted = [o for o in spec.outputs if o in SCALAR_OUTPUTS]
         want_tau = "g2_tau" in spec.outputs
         if not solve_wanted and not want_tau:
@@ -214,7 +209,7 @@ def _column_order(spec: SweepSpec) -> list[str]:
     order = [name for name, _ in spec.axes]
     for out in spec.outputs:
         if out == "eta_phi_roots":
-            order += ["eta_plus", "phi_plus", "eta_minus", "phi_minus"]
+            order += [f.name for f in fields(OptimalRoots)]
         elif out == "g2_tau":
             order += [f"g2_tau_{k:03d}" for k in range(len(spec.tau_grid or ()))]
         else:
@@ -304,7 +299,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # unless a preset says otherwise; drives and detunings are in units of kappa.
 # ---------------------------------------------------------------------------
 
-_TAU_GRID = tuple(np.linspace(0.0, 3.0 * 2.0 * np.pi, 121))
+# default delay grid of g2_tau outputs, also used by the CLI
+DEFAULT_TAU_MAX = 3.0 * 2.0 * math.pi
+DEFAULT_TAU_POINTS = 121
+_TAU_GRID = tuple(np.linspace(0.0, DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS))
 _WEAK = dict(eps=0.01, omega_drv=0.0, phi=0.0, kappa=1.0, gamma=1.0, n_th=0.0)
 
 
@@ -545,12 +543,19 @@ def figure_preset(name: str) -> SweepSpec:
 
 
 def figure_panels(name: str) -> dict[str, SweepSpec]:
-    """All panel specs belonging to one figure (or the single named panel)."""
+    """Panel specs of one figure (``fig3``), one sub-figure (``fig9c``) or one panel.
+
+    A name other than a panel matches the panels it prefixes where the next
+    character is not a digit, so ``fig1`` does not select ``fig10a``.
+    """
     key = name.strip().lower()
     if key in _PRESETS:
         return {key: _PRESETS[key]}
-    if key in _REPRESENTATIVE:
-        return {k: v for k, v in sorted(_PRESETS.items()) if k.startswith(key)}
-    raise ParameterError(
-        f"unknown figure {name!r}; choose from {figure_names()} or a panel name"
-    )
+    panels = {k: v for k, v in sorted(_PRESETS.items())
+              if k.startswith(key) and not k[len(key):len(key) + 1].isdigit()}
+    if not panels or not key.startswith(tuple(_REPRESENTATIVE)):
+        raise ParameterError(
+            f"unknown figure {name!r}; choose from {figure_names()}, a panel name "
+            "or a panel-name prefix such as fig9c"
+        )
+    return panels

@@ -41,6 +41,17 @@ def test_thermal_helper(capsys):
     assert 0.9e-5 <= n <= 1.1e-5
 
 
+@pytest.mark.parametrize(
+    "freq, temp",
+    [("6e9", "inf"), ("6e9", "nan"), ("nan", "0.025"), ("inf", "0.025"), ("6e9", "-inf")],
+)
+def test_thermal_rejects_non_finite_input(capsys, freq, temp):
+    assert cli_main(["thermal", "--freq", freq, "--temp", temp]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err
+    assert "n_th" not in captured.out
+
+
 def test_steady_summary(capsys):
     code = cli_main(
         ["steady", "--delta", "0", "--j", "0.70710678", "--eps", "0.01"]
@@ -204,6 +215,54 @@ def test_zero_cutoff_config_key_is_config_error(tmp_path, capsys, key):
 def test_unknown_figure_name(capsys):
     assert cli_main(["figure", "fig99"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_figure_sub_figure_prefix_runs_its_panels(tmp_path, capsys):
+    assert cli_main(["--outdir", str(tmp_path), "figure", "fig9c"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "fig9c_minus.csv", "fig9c_minus_tau.csv", "fig9c_plus.csv", "fig9c_plus_tau.csv",
+    ]
+
+
+def _g2_tau_sweep_config(tmp_path, task_extra: str = "") -> Path:
+    config_path = tmp_path / "tau.cfg"
+    config_path.write_text(
+        "[model]\nj = 0.71\neps = 0.01\n\n"
+        "[task]\naxis1 = delta\naxis1_values = 0.0, 0.1\noutputs = g2_tau\n"
+        f"{task_extra}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    return config_path
+
+
+def test_g2_tau_sweep_default_grid_and_tau_csv(tmp_path, capsys):
+    assert cli_main(["sweep", "--config", str(_g2_tau_sweep_config(tmp_path))]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    meta = json.loads((out / "sweep.meta.json").read_text())
+    assert meta["tau_grid"] == list(np.linspace(0.0, 3.0 * 2.0 * math.pi, 121))
+
+    csv_lines = (out / "sweep.csv").read_text().splitlines()
+    header, *rows = [line.split(",") for line in csv_lines]
+    assert len(rows) == 2
+    tau_cols = [header.index(f"g2_tau_{k:03d}") for k in range(121)]
+    tau_header, *tau_rows = [
+        line.split(",") for line in (out / "sweep_tau.csv").read_text().splitlines()
+    ]
+    assert tau_header == ["tau", "g2__delta_0", "g2__delta_0.1"]
+    assert len(tau_rows) == 121
+    assert [float(r[0]) for r in tau_rows] == pytest.approx(meta["tau_grid"], rel=1e-12)
+    for i, row in enumerate(rows):
+        assert [r[i + 1] for r in tau_rows] == [row[c] for c in tau_cols]
+
+
+@pytest.mark.parametrize("tau_max", ["nan", "inf", "-1"])
+def test_g2_tau_sweep_rejects_bad_tau_max(tmp_path, capsys, tau_max):
+    config_path = _g2_tau_sweep_config(tmp_path, f"tau_max = {tau_max}\n")
+    assert cli_main(["sweep", "--config", str(config_path)]) == 1
+    assert "tau_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def test_load_config_minimal_defaults(tmp_path):

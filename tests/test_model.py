@@ -1,6 +1,7 @@
 """Hamiltonian assembly, collapse channels, and the dressed ladder."""
 
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from phonoblock.hilbert import hermiticity_defect, lowering, make_space, number
 from phonoblock.model import (
     DetectionParams,
     MqParams,
-    _drive_terms,
+    _h_two_mode_terms,
     build_h_mq,
     build_h_total,
     build_model,
@@ -165,17 +166,23 @@ def test_dressed_spectrum_matches_dense_diagonalization():
 
 
 def test_drive_sign_phase_invariance():
-    # (omega, phi) -> (-omega, phi + pi) leaves the drive operator unchanged
+    # (omega, phi) -> (-omega, phi + pi) leaves the drive terms unchanged.
+    # MqParams rejects a negative drive amplitude, so a namespace stands in.
     space = two_mode_space(4)
-    b = lowering(space, "m")
-    sm = lowering(space, "q")
+    modes = [lowering(space, "m"), lowering(space, "q")]
     for _ in range(20):
         eps = float(RNG.uniform(0, 1))
         omega = float(RNG.uniform(0, 1))
         phi = float(RNG.uniform(-np.pi, np.pi))
-        direct = _drive_terms(eps, omega, phi, b, sm).mat
-        flipped = _drive_terms(eps, -omega, phi + np.pi, b, sm).mat
-        assert np.allclose(direct, flipped, atol=1e-14)
+        direct = SimpleNamespace(delta=0.0, j=0.0, eps=eps, omega_drv=omega, phi=phi)
+        flipped = SimpleNamespace(
+            delta=0.0, j=0.0, eps=eps, omega_drv=-omega, phi=phi + np.pi
+        )
+        assert np.allclose(
+            _h_two_mode_terms(direct, modes).mat,
+            _h_two_mode_terms(flipped, modes).mat,
+            atol=1e-14,
+        )
 
 
 def test_total_excitation_conserved_without_drives():
@@ -221,6 +228,39 @@ def test_space_factor_requirements():
         build_h_mq(MqParams(), make_space([("m", 3)]))
     with pytest.raises(ParameterError):
         build_h_total(DetectionParams(), two_mode_space(3))
+
+
+def test_builders_reject_the_other_models_space():
+    with pytest.raises(ParameterError):
+        build_h_mq(MqParams(), three_mode_space())
+    with pytest.raises(ParameterError):
+        collapse_ops(MqParams(), three_mode_space())
+    with pytest.raises(ParameterError):
+        collapse_ops(DetectionParams(), two_mode_space())
+
+
+def test_builders_require_the_declared_labels():
+    # same factor kinds as the two-mode space, other labels
+    space = make_space([("x", 3), ("y", "qubit")])
+    with pytest.raises(ParameterError, match="labelled"):
+        build_h_mq(MqParams(), space)
+    with pytest.raises(ParameterError, match="labelled"):
+        collapse_ops(MqParams(), space)
+    swapped = make_space([("m", 3), ("a", 3), ("q", "qubit")])
+    with pytest.raises(ParameterError, match="labelled"):
+        build_h_total(DetectionParams(), swapped)
+    assert two_mode_space().labels == ("m", "q")
+    assert three_mode_space().labels == ("a", "m", "q")
+
+
+def test_three_mode_hamiltonian_contains_the_two_mode_terms():
+    # with the cavity in vacuum, H_total restricted to a = 0 is H_mq exactly
+    base = MqParams(delta=-1.3, j=2.1, eps=0.4, omega_drv=0.7, phi=2.0)
+    space = three_mode_space(2, 5)
+    h = build_h_total(DetectionParams(base=base, g_om=0.3 - 0.2j), space)
+    h_mq = build_h_mq(base, two_mode_space(5))
+    d = h_mq.mat.shape[0]
+    assert np.array_equal(h.mat[:d, :d], h_mq.mat)
 
 
 def test_device_preset_matches_reported_numbers():

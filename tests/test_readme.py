@@ -1,0 +1,39 @@
+"""The README's library tour and CLI examples run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from phonoblock.cli import cli_main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block_after(heading: str, lang: str) -> str:
+    section = README[README.index(heading):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _cli_examples() -> dict[str, list[str]]:
+    """Arguments after ``phonoblock`` of each example, keyed by their first word."""
+    text = _block_after("Examples:", "bash").replace("\\\n", " ")
+    examples = {}
+    for line in text.splitlines():
+        args = shlex.split(line)[1:]
+        if args:
+            examples[args[0]] = args
+    return examples
+
+
+def test_library_quick_tour_runs():
+    namespace: dict = {}
+    exec(_block_after("## Library quick tour", "python"), namespace)
+    assert 0.001 < namespace["pb"].g2_zero(namespace["rho"], namespace["b"]) < 0.006
+
+
+@pytest.mark.parametrize("command", ["optimal", "thermal", "steady", "detect"])
+def test_cli_example_exits_zero(command, capsys):
+    assert cli_main(_cli_examples()[command]) == 0
+    assert capsys.readouterr().out

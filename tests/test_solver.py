@@ -265,6 +265,18 @@ def test_evolve_grid_validation():
     assert evolve(rho0, liou, []) == []
 
 
+@pytest.mark.parametrize(
+    "t_grid",
+    [[0.0, float("nan")], [float("nan")], [float("inf")], [0.0, 1.0, float("inf")]],
+)
+def test_evolve_rejects_non_finite_times(t_grid):
+    space = make_space([("m", 3)])
+    h = Operator(space, np.zeros((4, 4), dtype=complex))
+    liou = build_liouvillian(h, [(1.0, lowering(space, "m"))])
+    with pytest.raises(EvolutionError, match="finite"):
+        evolve(fock_dm(space), liou, t_grid)
+
+
 def test_evolve_step_underflow_guard():
     space = make_space([("m", 3)])
     liou = build_liouvillian(

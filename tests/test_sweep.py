@@ -208,6 +208,29 @@ def test_presets_all_constructible_and_figure_mapping():
         figure_panels("nope")
 
 
+def test_figure_panels_accepts_sub_figure_prefixes():
+    assert set(figure_panels("fig9c")) == {"fig9c_plus", "fig9c_minus"}
+    assert set(figure_panels("FIG9C ")) == {"fig9c_plus", "fig9c_minus"}
+    assert set(figure_panels("fig10")) == {"fig10a", "fig10b"}
+    assert set(figure_panels("fig3")) == {f"fig3{c}" for c in "abcdef"}
+    assert set(figure_panels("fig11a")) == {"fig11a"}
+    assert set(figure_panels("fig11a_")) == {"fig11a_mq"}
+    for name in ("fig1", "fig", "f", "", "fig9g", "ig9c"):
+        with pytest.raises(ParameterError):
+            figure_panels(name)
+
+
+@pytest.mark.parametrize(
+    "tau_grid",
+    [(0.0, math.nan), (0.0, math.inf), (math.nan,), (-1.0, 0.0), (0.0, 1.0, 1.0)],
+)
+def test_bad_tau_grid_rejected_on_construction(tau_grid):
+    with pytest.raises(ParameterError, match="tau_grid"):
+        SweepSpec(
+            axes=(("delta", (0.0,)),), fixed=WEAK, outputs=("g2_tau",), tau_grid=tau_grid
+        )
+
+
 def test_fig7_preset_shape():
     spec = figure_preset("fig7")
     assert spec.outputs == ("eta_phi_roots",)
