@@ -76,6 +76,7 @@ from .sweep import (
     figure_preset,
     preset_names,
     run_sweep,
+    solve_point,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -193,8 +193,8 @@ def perturbative_amplitudes(p: MqParams) -> PerturbativeAmplitudes:
 def thermal_occupation(freq_hz: float, temp_k: float) -> float:
     """Bose-Einstein occupation of a mode of ordinary frequency ``freq_hz``.
 
-    Uses exact SI values of hbar and the Boltzmann constant; returns 0 at
-    zero temperature.
+    Uses exact SI values of hbar and the Boltzmann constant. Returns 0 at zero
+    temperature; an occupation that overflows a float raises ParameterError.
     """
     if not 0 < freq_hz < math.inf:
         raise ParameterError(f"frequency must be positive and finite, got {freq_hz}")
@@ -205,7 +205,10 @@ def thermal_occupation(freq_hz: float, temp_k: float) -> float:
     x = 2.0 * math.pi * HBAR * freq_hz / (K_B * temp_k)
     if x > 700.0:  # expm1 overflow guard; occupation is below 1e-300 here
         return 0.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x > 0.0 else math.inf  # x underflows for hf << kT
+    if n == math.inf:
+        raise ParameterError(f"occupation at {freq_hz} Hz and {temp_k} K overflows a float")
+    return n
 
 
 class EffectiveMechParams(NamedTuple):

@@ -40,20 +40,17 @@ from .analytics import (
     optimal_drive_roots,
     thermal_occupation,
 )
-from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ConfigError, NumericalError, PhonoblockError, SweepError
-from .hilbert import expectation, lowering
 from .model import (
     DetectionParams,
     MqParams,
-    build_model,
     flat_params,
+    model_space,
     with_flat_updates,
     with_two_drive_optimum,
 )
-from .solver import build_liouvillian, steady_state
 from .sweep import (DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS, SweepResult, SweepSpec,
-                    figure_names, figure_panels, run_sweep)
+                    figure_names, figure_panels, run_sweep, solve_point)
 
 log = logging.getLogger("phonoblock")
 
@@ -172,6 +169,8 @@ def load_config(path: str | Path) -> RunConfig:
             n = _parse("task", f"axis{i}_range", parts[2], int)
             if n < 1:
                 raise ConfigError(f"axis{i}_range point count must be >= 1")
+            if not math.isfinite(hi - lo):  # also catches a span that overflows
+                raise ConfigError(f"axis{i}_range bounds must be finite, got {range_raw!r}")
             values = tuple(np.linspace(lo, hi, n))
         task[f"axis{i}"] = (name.strip(), values)
     if "outputs" in task_raw:
@@ -403,57 +402,43 @@ def _resolve_outdir(args, config: RunConfig | None) -> Path:
     return path
 
 
-def _run_metadata(params, extra: dict | None = None) -> dict:
-    echo = _build_echo(params, {}, {"dir": DEFAULT_OUTDIR, "plot_script": True})
-    meta = {"version": __version__, "config_echo": echo}
-    meta.update(extra or {})
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
-def _solve(params, mech_cutoff: int | None, cavity_cutoff: int | None = None):
-    """Steady state of the params' model; returns (space, Liouvillian, rho)."""
-    space, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
-    liou = build_liouvillian(h, c_ops)
-    return space, liou, steady_state(liou)
+def _tau_grid(tau_max: float, tau_points: int, max_name: str, points_name: str) -> np.ndarray:
+    """linspace(0, tau_max, tau_points), checked first to be finite and strictly ascending."""
+    if tau_points < 1 or not 0 <= tau_max < math.inf or (tau_max == 0 and tau_points > 1):
+        raise ConfigError(f"tau_grid needs {points_name} >= 1 and a finite {max_name} > 0 "
+                          f"(0 for one point), got {tau_points} and {tau_max}")
+    return np.linspace(0.0, tau_max, tau_points)
 
 
 def _cmd_steady(args) -> int:
     params, _ = _merge_model(args)
-    space, _, rho = _solve(params, args.mech_cutoff)
-    b = lowering(space, "m")
-    sm = lowering(space, "q")
-    print(f"n_b = {mean_occupation(rho, b):.6g}")
-    print(f"g2_0 = {g2_zero(rho, b):.6g}")
-    print(f"qubit_excitation = {expectation(rho, sm.dag() @ sm).real:.6g}")
+    values, _, _ = solve_point(params, args.mech_cutoff, None,
+                               ("n_b", "g2_zero", "qubit_excitation"))
+    print(f"n_b = {values['n_b']:.6g}")
+    print(f"g2_0 = {values['g2_zero']:.6g}")
+    print(f"qubit_excitation = {values['qubit_excitation']:.6g}")
     return 0
 
 
 def _cmd_g2tau(args) -> int:
-    if args.tau_points < 1:
-        raise ConfigError(f"--tau-points must be >= 1, got {args.tau_points}")
-    # the grid linspace(0, tau_max, tau_points) must be finite and strictly ascending
-    if not 0 <= args.tau_max < math.inf or (args.tau_max == 0 and args.tau_points > 1):
-        raise ConfigError(f"--tau-max must be finite and > 0 (0 for one point), got {args.tau_max}")
+    tau_grid = _tau_grid(args.tau_max, args.tau_points, "--tau-max", "--tau-points")
     params, config = _merge_model(args)
     outdir = _resolve_outdir(args, config)
-    space, liou, rho = _solve(params, args.mech_cutoff)
-    b = lowering(space, "m")
-    tau_grid = np.linspace(0.0, args.tau_max, args.tau_points)
-    series = g2_tau(liou, rho, b, tau_grid)
+    _, series, _ = solve_point(params, args.mech_cutoff, None, (), tau_grid)
     path = outdir / "g2tau.csv"
     with open(path, "w") as fh:
         fh.write("tau,g2\n")
-        for tau, value in series:
+        for tau, value in zip(tau_grid, series):
             fh.write(f"{_format_cell(tau)},{_format_cell(value)}\n")
-    write_metadata(_run_metadata(params, {"tau_max": args.tau_max,
-                                          "tau_points": args.tau_points}),
-                   outdir / "g2tau.meta.json")
-    print(f"g2_0 = {series[0][1]:.6g}")
+    echo = _build_echo(params, {}, {"dir": DEFAULT_OUTDIR, "plot_script": True})
+    write_metadata({"version": __version__, "config_echo": echo, "tau_max": args.tau_max,
+                    "tau_points": args.tau_points}, outdir / "g2tau.meta.json")
+    print(f"g2_0 = {series[0]:.6g}")
     print(f"wrote {path}")
     return 0
 
@@ -468,9 +453,9 @@ def _spec_from_config(config: RunConfig) -> SweepSpec:
     outputs = task.get("outputs", ("g2_zero",))
     tau_grid = None
     if "g2_tau" in outputs:
-        tau_max = task.get("tau_max", DEFAULT_TAU_MAX)
-        tau_points = task.get("tau_points", DEFAULT_TAU_POINTS)
-        tau_grid = tuple(np.linspace(0.0, tau_max, tau_points))
+        tau_grid = _tau_grid(task.get("tau_max", DEFAULT_TAU_MAX),
+                             task.get("tau_points", DEFAULT_TAU_POINTS),
+                             "[task] tau_max", "[task] tau_points")
     return SweepSpec(
         axes=tuple(axes),
         fixed=config.model,
@@ -545,21 +530,18 @@ def _cmd_thermal(args) -> int:
 
 def _cmd_detect(args) -> int:
     params, _ = _merge_model(args, detection=True)
-    space, _, rho = _solve(params, args.mech_cutoff, args.cavity_cutoff)
-    a = lowering(space, "a")
-    b = lowering(space, "m")
-    g2_b = g2_zero(rho, b)
-    g2_a = g2_zero(rho, a)
+    values, _, _ = solve_point(params, args.mech_cutoff, args.cavity_cutoff,
+                               ("g2_zero", "g2a_zero", "n_b", "n_a"))
     # two-mode reference without the readout cavity, two Fock levels deeper
-    mech_cutoff = space.factor("m").dim - 1
-    mq_space, _, mq_rho = _solve(params.base, mech_cutoff + 2)
-    g2_b_mq = g2_zero(mq_rho, lowering(mq_space, "m"))
+    mech_cutoff = model_space(params, args.mech_cutoff, args.cavity_cutoff).factor("m").dim - 1
+    reference, _, _ = solve_point(params.base, mech_cutoff + 2, None, ("g2_zero",))
+    g2_b, g2_a = values["g2_zero"], values["g2a_zero"]
     print(f"g2_b = {g2_b:.6g}")
     print(f"g2_a = {g2_a:.6g}")
     print(f"relative_difference = {abs(g2_a - g2_b) / g2_b:.6g}")
-    print(f"g2_b_two_mode = {g2_b_mq:.6g}")
-    print(f"n_b = {mean_occupation(rho, b):.6g}")
-    print(f"n_a = {mean_occupation(rho, a):.6g}")
+    print(f"g2_b_two_mode = {reference['g2_zero']:.6g}")
+    print(f"n_b = {values['n_b']:.6g}")
+    print(f"n_a = {values['n_a']:.6g}")
     return 0
 
 

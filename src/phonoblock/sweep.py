@@ -3,9 +3,10 @@
 A :class:`SweepSpec` names one or two axes over fields of the baseline
 parameters, the outputs to evaluate, and optional truncation overrides. Grid
 points are independent and are evaluated one after another in row-major axis
-order, so identical specs produce identical tables. Each solved point is
-re-run with the mechanical cutoff raised by two and flagged converged only
-when the steady-state correlation changes by less than 0.5 percent.
+order, so identical specs produce identical tables. :func:`solve_point` is the
+one place that builds, solves and measures a point, for sweep rows and the CLI
+point commands alike. Each row is re-solved with the mechanical cutoff raised
+by two and flagged converged only when its scalars change by less than 0.5%.
 
 Drives realizing an interference optimum are derived per point when
 ``delta_opt`` is set (either as a spec field or as the pseudo-axis
@@ -95,13 +96,12 @@ class SweepSpec:
             raise ParameterError("at least one output is required")
         if "g2a_zero" in self.outputs and not isinstance(self.fixed, DetectionParams):
             raise ParameterError("g2a_zero needs a DetectionParams baseline")
-        if "g2_tau" in self.outputs:
-            if not self.tau_grid:
-                raise ParameterError("g2_tau output requires tau_grid")
-            if not all(0 <= t < math.inf for t in self.tau_grid) or any(
-                b <= a for a, b in zip(self.tau_grid, self.tau_grid[1:])
-            ):
-                raise ParameterError("tau_grid must be finite, ascending and non-negative")
+        grid = self.tau_grid
+        if ("g2_tau" in self.outputs) != (grid is not None):
+            raise ParameterError("tau_grid must be given exactly when g2_tau is an output")
+        if grid is not None and not (grid and all(0 <= t < math.inf for t in grid)
+                                     and all(a < b for a, b in zip(grid, grid[1:]))):
+            raise ParameterError("tau_grid must be non-empty, finite, ascending and non-negative")
         if self.root_branch not in ("+", "-"):
             raise ParameterError(f"root_branch must be '+' or '-', got {self.root_branch!r}")
         if self.delta_opt is not None and any(n == "delta_opt" for n, _ in axes):
@@ -141,29 +141,46 @@ def _resolve_params(
     return params
 
 
-def _solve_scalars(
+# scalar name -> (observable, mode label). Observables are looked up by name
+# when a point is measured, so wrappers set on this module see every call.
+_SCALARS = {
+    "g2_zero": ("g2_zero", "m"),
+    "n_b": ("mean_occupation", "m"),
+    "g2a_zero": ("g2_zero", "a"),
+    "n_a": ("mean_occupation", "a"),
+    "qubit_excitation": ("mean_occupation", "q"),
+}
+
+
+def solve_point(
     params: MqParams | DetectionParams,
-    mech_cutoff: int,
+    mech_cutoff: int | None,
     cavity_cutoff: int | None,
-    wanted: Sequence[str],
-    tau_grid: Sequence[float] | None,
+    scalars: Sequence[str],
+    tau_grid: Sequence[float] | None = None,
 ) -> tuple[dict[str, float], list[float] | None, float]:
-    """One steady-state solve; returns scalars, optional tau series, residual."""
+    """Build, solve and measure one point; every sweep row and point command runs here.
+
+    ``scalars`` names steady-state observables, measured in this order:
+    ``g2_zero``, ``n_b``, ``g2a_zero`` (photon g2), ``n_a`` and
+    ``qubit_excitation``. A ``None`` cutoff takes the model default. Returns
+    the scalars, the NAMR g2(tau) series on ``tau_grid`` (``None`` without a
+    grid) and the steady residual.
+    """
+    if not set(scalars) <= set(_SCALARS):
+        raise ParameterError(f"unknown scalars in {list(scalars)} (valid: {list(_SCALARS)})")
+    wanted = {name: entry for name, entry in _SCALARS.items() if name in scalars}
     space, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
     liou = build_liouvillian(h, c_ops)
     rho = steady_state(liou)
-    b = lowering(space, "m")
-    scalars: dict[str, float] = {}
-    if "g2_zero" in wanted:
-        scalars["g2_zero"] = g2_zero(rho, b)
-    if "n_b" in wanted:
-        scalars["n_b"] = mean_occupation(rho, b)
-    if "g2a_zero" in wanted:
-        scalars["g2a_zero"] = g2_zero(rho, lowering(space, "a"))
+    observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation}
+    labels = [label for _, label in wanted.values()] + (["m"] if tau_grid is not None else [])
+    ops = {label: lowering(space, label) for label in dict.fromkeys(labels)}
+    values = {name: observables[obs](rho, ops[label]) for name, (obs, label) in wanted.items()}
     series = None
     if tau_grid is not None:
-        series = [value for _, value in g2_tau(liou, rho, b, tau_grid)]
-    return scalars, series, steady_state_residual(liou, rho)
+        series = [value for _, value in g2_tau(liou, rho, ops["m"], tau_grid)]
+    return values, series, steady_state_residual(liou, rho)
 
 
 def _evaluate_point(
@@ -178,17 +195,13 @@ def _evaluate_point(
             roots = optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)
             roots_cols = asdict(roots)
         solve_wanted = [o for o in spec.outputs if o in SCALAR_OUTPUTS]
-        want_tau = "g2_tau" in spec.outputs
-        if not solve_wanted and not want_tau:
+        if not solve_wanted and spec.tau_grid is None:
             return roots_cols, None, True, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
-        scalars, series, residual = _solve_scalars(
-            params, mech, cavity, check_outputs, spec.tau_grid if want_tau else None
-        )
-        refined, _, _ = _solve_scalars(
-            params, mech + CUTOFF_INCREMENT, cavity, check_outputs, None
-        )
+        scalars, series, residual = solve_point(params, mech, cavity, check_outputs,
+                                                spec.tau_grid)
+        refined, _, _ = solve_point(params, mech + CUTOFF_INCREMENT, cavity, check_outputs)
         converged = all(
             _rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL for k in check_outputs
         )

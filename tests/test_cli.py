@@ -10,6 +10,8 @@ import pytest
 
 from phonoblock.cli import cli_main, load_config, render_config
 from phonoblock.errors import ConfigError
+from phonoblock.model import MqParams, with_two_drive_optimum
+from phonoblock.sweep import SweepSpec, run_sweep, solve_point
 
 
 def _value(output: str, key: str) -> float:
@@ -43,7 +45,9 @@ def test_thermal_helper(capsys):
 
 @pytest.mark.parametrize(
     "freq, temp",
-    [("6e9", "inf"), ("6e9", "nan"), ("nan", "0.025"), ("inf", "0.025"), ("6e9", "-inf")],
+    [("6e9", "inf"), ("6e9", "nan"), ("nan", "0.025"), ("inf", "0.025"), ("6e9", "-inf"),
+     # h f / k T underflows to 0, or the occupation k T / h f overflows
+     ("1e-300", "1e10"), ("2e-290", "1e10")],
 )
 def test_thermal_rejects_non_finite_input(capsys, freq, temp):
     assert cli_main(["thermal", "--freq", freq, "--temp", temp]) == 1
@@ -66,7 +70,20 @@ def test_steady_summary(capsys):
 def test_steady_unpopulated_mode_is_numerical_failure(capsys):
     code = cli_main(["steady", "--j", "1", "--eps", "0"])
     assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    # every observable is measured before the first line is printed
+    assert captured.out == ""
+
+
+def test_steady_matches_one_row_sweep(capsys):
+    assert cli_main(["steady", "--delta", "0.1", "--j", "0.71", "--eps", "0.01"]) == 0
+    out = capsys.readouterr().out
+    spec = SweepSpec(axes=(("delta", (0.1,)),), fixed=MqParams(j=0.71, eps=0.01),
+                     outputs=("g2_zero", "n_b"))
+    result = run_sweep(spec)
+    assert f"n_b = {result.columns['n_b'][0]:.6g}\n" in out
+    assert f"g2_0 = {result.columns['g2_zero'][0]:.6g}\n" in out
 
 
 def test_unknown_flag_is_config_error(capsys):
@@ -128,6 +145,19 @@ def test_detect_compares_photon_and_phonon(tmp_path, capsys):
         abs(g2a - g2b) / g2b, rel=1e-4
     )
     assert _value(out, "g2_b_two_mode") > 0
+
+
+@pytest.mark.parametrize("mech_cutoff, reference_cutoff", [(None, 8), (4, 6)])
+def test_detect_two_mode_reference_is_two_levels_deeper(capsys, mech_cutoff, reference_cutoff):
+    argv = ["detect", "--delta", "3", "--j", "3", "--eps", "0.2", "--n-th", "1e-3",
+            "--delta-opt", "3", "--g-om", "0.1", "--gamma-cav", "10"]
+    if mech_cutoff is not None:
+        argv += ["--mech-cutoff", str(mech_cutoff)]
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    base = with_two_drive_optimum(MqParams(delta=3.0, j=3.0, eps=0.2, n_th=1e-3), 3.0, "+")
+    reference, _, _ = solve_point(base, reference_cutoff, None, ("g2_zero",))
+    assert f"g2_b_two_mode = {reference['g2_zero']:.6g}\n" in out
 
 
 def test_figure_fig7_outputs(tmp_path):
@@ -257,11 +287,21 @@ def test_g2_tau_sweep_default_grid_and_tau_csv(tmp_path, capsys):
         assert [r[i + 1] for r in tau_rows] == [row[c] for c in tau_cols]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tau_max", ["nan", "inf", "-1"])
 def test_g2_tau_sweep_rejects_bad_tau_max(tmp_path, capsys, tau_max):
     config_path = _g2_tau_sweep_config(tmp_path, f"tau_max = {tau_max}\n")
     assert cli_main(["sweep", "--config", str(config_path)]) == 1
     assert "tau_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau_points", ["0", "-3"])
+def test_g2_tau_sweep_rejects_bad_tau_points(tmp_path, capsys, tau_points):
+    config_path = _g2_tau_sweep_config(tmp_path, f"tau_points = {tau_points}\n")
+    assert cli_main(["sweep", "--config", str(config_path)]) == 1
+    assert "tau_points" in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
@@ -329,6 +369,15 @@ def test_load_config_axis_requires_one_source(tmp_path):
         "[task]\naxis1 = delta\naxis1_values = 1\naxis1_range = 0:1:2\n"
     )
     with pytest.raises(ConfigError, match="axis1"):
+        load_config(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis_range", ["0:inf:3", "nan:1:3", "-1e308:1e308:3"])
+def test_load_config_axis_range_must_be_finite(tmp_path, axis_range):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[task]\naxis1 = delta\naxis1_range = {axis_range}\n")
+    with pytest.raises(ConfigError, match="axis1_range"):
         load_config(path)
 
 

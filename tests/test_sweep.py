@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 from phonoblock.analytics import optimal_drive_roots
+from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SweepError
-from phonoblock.model import DetectionParams, MqParams
+from phonoblock.hilbert import expectation, lowering
+from phonoblock.model import DetectionParams, MqParams, build_model
+from phonoblock.solver import build_liouvillian, steady_state
 from phonoblock.sweep import (
     SweepSpec,
     figure_panels,
     figure_preset,
     preset_names,
     run_sweep,
+    solve_point,
 )
 
 WEAK = MqParams(eps=0.01)
@@ -229,6 +233,36 @@ def test_bad_tau_grid_rejected_on_construction(tau_grid):
         SweepSpec(
             axes=(("delta", (0.0,)),), fixed=WEAK, outputs=("g2_tau",), tau_grid=tau_grid
         )
+
+
+def test_tau_grid_without_g2_tau_output_rejected_on_construction():
+    # such a grid used to reach the metadata, and the tau CSV writer then failed
+    with pytest.raises(ParameterError, match="tau_grid"):
+        SweepSpec(axes=(("delta", (0.0,)),), fixed=WEAK, tau_grid=(0.0, 1.0))
+
+
+def test_solve_point_measures_the_named_modes():
+    params = DetectionParams(base=MqParams(delta=3.0, j=3.0, eps=0.2), g_om=0.1)
+    values, series, residual = solve_point(
+        params, 3, 2, ("qubit_excitation", "g2a_zero", "n_a", "n_b", "g2_zero"), (0.0, 0.5)
+    )
+    space, h, c_ops = build_model(params, 3, 2)
+    rho = steady_state(build_liouvillian(h, c_ops))
+    a, b, sm = (lowering(space, label) for label in ("a", "m", "q"))
+    assert values == {
+        "g2_zero": g2_zero(rho, b),
+        "n_b": expectation(rho, b.dag() @ b).real,
+        "g2a_zero": g2_zero(rho, a),
+        "n_a": expectation(rho, a.dag() @ a).real,
+        "qubit_excitation": expectation(rho, sm.dag() @ sm).real,
+    }
+    assert len(series) == 2 and series[0] == pytest.approx(values["g2_zero"], rel=1e-12)
+    assert 0.0 <= residual < 1e-10
+
+
+def test_solve_point_rejects_unknown_scalars():
+    with pytest.raises(ParameterError, match="g2b_zero"):
+        solve_point(WEAK, 4, None, ("g2b_zero",))
 
 
 def test_fig7_preset_shape():
