@@ -202,7 +202,9 @@ def thermal_occupation(freq_hz: float, temp_k: float) -> float:
         raise ParameterError(f"temperature must be non-negative and finite, got {temp_k}")
     if temp_k == 0.0:
         return 0.0
-    x = 2.0 * math.pi * HBAR * freq_hz / (K_B * temp_k)
+    # h f / k T as (h / k) (f / T): the products HBAR f and K_B T underflow
+    # at inputs where the ratio f / T is still exact
+    x = (2.0 * math.pi * HBAR / K_B) * (freq_hz / temp_k)
     if x > 700.0:  # expm1 overflow guard; occupation is below 1e-300 here
         return 0.0
     n = 1.0 / math.expm1(x) if x > 0.0 else math.inf  # x underflows for hf << kT

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -210,24 +210,85 @@ def three_mode_space(
     return make_space(zip(_THREE_MODE_LABELS, (cavity_cutoff, mech_cutoff, "qubit")))
 
 
-def _lowering_ops(space: HilbertSpace, labels: tuple[str, ...]) -> list[Operator]:
-    """Lowering operators of ``space`` in label order; other labels raise."""
+def _require_labels(space: HilbertSpace, labels: tuple[str, ...]) -> None:
     if space.labels != labels:
         raise ParameterError(f"model needs factors labelled {labels}, got {space!r}")
-    return [lowering(space, label) for label in labels]
 
 
-def _h_two_mode_terms(p: MqParams, modes: list[Operator]) -> Operator:
-    """delta times the summed number operator of ``modes`` (one rounded product
-    per diagonal entry), plus the coupling and drive terms of their last two
-    entries, NAMR ``b`` and qubit ``sm``."""
-    *_, b, sm = modes
-    n_total = modes[0].dag() @ modes[0]
-    for op in modes[1:]:
+def _lowering_ops(space: HilbertSpace, labels: tuple[str, ...]) -> dict[str, Operator]:
+    """Lowering operators of ``space`` by label, in label order; other labels raise."""
+    _require_labels(space, labels)
+    return {label: lowering(space, label) for label in labels}
+
+
+def _number_sum(o: Mapping[str, Operator]) -> Operator:
+    """Summed number operator of every mode, so delta scales each diagonal
+    entry by one rounded product."""
+    first, *rest = o.values()
+    n_total = first.dag() @ first
+    for op in rest:
         n_total = n_total + op.dag() @ op
-    h = p.delta * n_total + p.j * (sm.dag() @ b + b.dag() @ sm)
-    half = p.omega_drv * np.exp(-1j * p.phi) * sm.dag() + p.eps * b.dag()
-    return h + (half + half.dag())
+    return n_total
+
+
+def _drive(f: Mapping[str, float]) -> complex:
+    return f["omega_drv"] * np.exp(-1j * f["phi"])
+
+
+# Term tables: each entry pairs a real coefficient, read from the flat field
+# map of flat_params, with a generator built from the lowering operators by
+# label. A Hamiltonian term adds coefficient * generator to H; a channel is a
+# Lindblad jump operator at rate coefficient. No two H terms of a model share
+# a matrix entry (the Re/Im pairs fill the real and imaginary parts), so every
+# entry of H is one rounded product; the Liouvillian basis in
+# phonoblock.solver relies on this to match the Kronecker builder bit for bit.
+#
+# H = delta (sigma+ sigma- + b'b) + j (sigma+ b + b' sigma-)
+#     + (omega_drv e^{-i phi} sigma+ + eps b' + h.c.)
+_TWO_MODE_H = (
+    (lambda f: f["delta"], _number_sum),
+    (lambda f: f["j"], lambda o: o["q"].dag() @ o["m"] + o["m"].dag() @ o["q"]),
+    (lambda f: _drive(f).real, lambda o: o["q"].dag() + o["q"]),
+    (lambda f: _drive(f).imag, lambda o: 1j * (o["q"].dag() - o["q"])),
+    (lambda f: f["eps"], lambda o: o["m"].dag() + o["m"]),
+)
+# the shared thermal bath on the NAMR (m) and the qubit (q)
+_TWO_MODE_CHANNELS = (
+    (lambda f: f["gamma"] * (f["n_th"] + 1.0), lambda o: o["m"]),
+    (lambda f: f["gamma"] * f["n_th"], lambda o: o["m"].dag()),
+    (lambda f: f["kappa"] * (f["n_th"] + 1.0), lambda o: o["q"]),
+    (lambda f: f["kappa"] * f["n_th"], lambda o: o["q"].dag()),
+)
+# readout: g_om a'b + conj(g_om) a b' (delta a'a comes with the number sum)
+# and a zero-temperature cavity (a) decay
+_READOUT_H = (
+    (lambda f: f["g_om"].real, lambda o: o["a"].dag() @ o["m"] + o["a"] @ o["m"].dag()),
+    (lambda f: f["g_om"].imag, lambda o: 1j * (o["a"].dag() @ o["m"] - o["a"] @ o["m"].dag())),
+)
+_READOUT_CHANNELS = ((lambda f: f["gamma_cav"], lambda o: o["a"]),)
+
+# factor labels -> (Hamiltonian terms, channels)
+_MODELS = {
+    _TWO_MODE_LABELS: (_TWO_MODE_H, _TWO_MODE_CHANNELS),
+    _THREE_MODE_LABELS: (_TWO_MODE_H + _READOUT_H, _TWO_MODE_CHANNELS + _READOUT_CHANNELS),
+}
+
+_Terms = tuple[tuple[Callable[[Mapping[str, float | complex]], float],
+                     Callable[[Mapping[str, Operator]], Operator]], ...]
+
+
+def _model_labels(p: MqParams | DetectionParams) -> tuple[str, ...]:
+    return _THREE_MODE_LABELS if isinstance(p, DetectionParams) else _TWO_MODE_LABELS
+
+
+def _hamiltonian(
+    terms: _Terms, f: Mapping[str, float | complex], ops: Mapping[str, Operator]
+) -> Operator:
+    """Sum of coefficient * generator over ``terms``, in table order."""
+    h, *rest = [coefficient(f) * generator(ops) for coefficient, generator in terms]
+    for term in rest:
+        h = h + term
+    return h
 
 
 def build_h_mq(p: MqParams, space: HilbertSpace) -> Operator:
@@ -236,7 +297,7 @@ def build_h_mq(p: MqParams, space: HilbertSpace) -> Operator:
     H = delta (sigma+ sigma- + b'b) + j (sigma+ b + b' sigma-)
         + (omega_drv e^{-i phi} sigma+ + eps b' + h.c.)
     """
-    return _h_two_mode_terms(p, _lowering_ops(space, _TWO_MODE_LABELS))
+    return _hamiltonian(_TWO_MODE_H, flat_params(p), _lowering_ops(space, _TWO_MODE_LABELS))
 
 
 def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
@@ -245,10 +306,8 @@ def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
     Adds delta a'a + (g_om a'b + conj(g_om) a b') to the two-mode terms. The
     cavity detuning is tied to the shared rotating frame.
     """
-    modes = _lowering_ops(space, _THREE_MODE_LABELS)
-    a, b, _ = modes
-    h = _h_two_mode_terms(p.base, modes)
-    return h + p.g_om * (a.dag() @ b) + np.conj(p.g_om) * (a @ b.dag())
+    ops = _lowering_ops(space, _THREE_MODE_LABELS)
+    return _hamiltonian(_TWO_MODE_H + _READOUT_H, flat_params(p), ops)
 
 
 def collapse_ops(
@@ -260,19 +319,33 @@ def collapse_ops(
     cavity channel (three-mode only) is a plain decay at rate ``gamma_cav``.
     Zero-rate entries are omitted.
     """
-    three_mode = isinstance(p, DetectionParams)
-    base = p.base if three_mode else p
-    labels = _THREE_MODE_LABELS if three_mode else _TWO_MODE_LABELS
-    *cavity, b, sm = _lowering_ops(space, labels)
-    channels = [
-        (base.gamma * (base.n_th + 1.0), b),
-        (base.gamma * base.n_th, b.dag()),
-        (base.kappa * (base.n_th + 1.0), sm),
-        (base.kappa * base.n_th, sm.dag()),
-    ]
-    if three_mode:
-        channels.append((p.gamma_cav, cavity[0]))
+    labels = _model_labels(p)
+    ops = _lowering_ops(space, labels)
+    f = flat_params(p)
+    channels = [(rate(f), op(ops)) for rate, op in _MODELS[labels][1]]
     return [(rate, op) for rate, op in channels if rate > 0.0]
+
+
+def term_coefficients(
+    p: MqParams | DetectionParams, space: HilbertSpace
+) -> tuple[list[float], list[float]]:
+    """The params' Hamiltonian coefficients and channel rates, in the order of
+    :func:`term_generators` on ``space``; a space of another model raises."""
+    labels = _model_labels(p)
+    _require_labels(space, labels)
+    f = flat_params(p)
+    h_terms, channels = _MODELS[labels]
+    return [c(f) for c, _ in h_terms], [rate(f) for rate, _ in channels]
+
+
+def term_generators(space: HilbertSpace) -> tuple[list[Operator], list[Operator]]:
+    """Hamiltonian generators and jump operators of the model whose labels
+    ``space`` carries, in table order; other labels raise ParameterError."""
+    if space.labels not in _MODELS:
+        raise ParameterError(f"no model has the factor labels of {space!r}")
+    h_terms, channels = _MODELS[space.labels]
+    ops = _lowering_ops(space, space.labels)
+    return [g(ops) for _, g in h_terms], [op(ops) for _, op in channels]
 
 
 def model_space(

@@ -11,15 +11,26 @@ stored sparse, since its dimension is the squared Hilbert dimension. The
 column-major convention is fixed package-wide and pinned by a vectorization
 oracle in the test suite.
 
+L is linear in the real term coefficients of the model (see the term table
+in :mod:`phonoblock.model`): with H = sum_k c_k G_k, every G_k and every jump
+operator gives one fixed superoperator. :func:`liouvillian_basis` builds
+them once per Hilbert space on one shared CSR pattern, so :func:`assemble`
+makes each point's L with one sparse product, ``basis @ coeffs``, equal bit
+for bit to the direct Kronecker builder :func:`build_liouvillian`. That
+builder takes arbitrary operators and is the reference the basis is tested
+against.
+
 The steady state is the one-dimensional kernel of L, found by replacing one
-row of L with the vectorized trace functional and solving the resulting
-nonsingular system with a direct sparse LU factorization. Time evolution
-applies the exact action of the matrix exponential (Al-Mohy and Higham,
-SIAM J. Sci. Comput. 33, 2011) through ``scipy.sparse.linalg.expm_multiply``.
+row of L with the vectorized trace functional (spliced into the CSR arrays)
+and solving the resulting nonsingular system with a direct sparse LU
+factorization. Time evolution applies the exact action of the matrix
+exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011) through
+``scipy.sparse.linalg.expm_multiply``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +45,7 @@ from .errors import (
     SteadyStateError,
 )
 from .hilbert import DensityMatrix, HilbertSpace, Operator, check_state, hermiticity_defect
+from .model import DetectionParams, MqParams, term_coefficients, term_generators
 
 HERMITIAN_INPUT_TOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-9
@@ -45,6 +57,9 @@ TRACE_DRIFT_TOL = 1e-8
 EXPM_NORM_STEP = 10.0
 # Work budget: the most sub-steps one evolve call may take.
 MAX_SUBSTEPS = 100_000
+# Spaces whose Liouvillian basis stays cached: a sweep uses two (its cutoff
+# and the cutoff + 2 re-solve), a three-mode detect three.
+BASIS_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +86,31 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
+def _dissipator(o: sp.csr_matrix, eye: sp.csr_matrix) -> sp.csr_matrix:
+    """Superoperator of rho -> o rho o' - {o'o, rho} / 2."""
+    odo = (o.conjugate().T @ o).tocsr()
+    return (
+        sp.kron(o.conjugate(), o, format="csr")
+        - 0.5 * sp.kron(eye, odo, format="csr")
+        - 0.5 * sp.kron(odo.T, eye, format="csr")
+    )
+
+
+def _require_hermitian(h: Operator) -> None:
+    defect = hermiticity_defect(h.mat)
+    if defect > HERMITIAN_INPUT_TOL:
+        raise StateValidityError(
+            f"Hamiltonian Hermiticity defect {defect:.3e} exceeds {HERMITIAN_INPUT_TOL}"
+        )
+
+
 def build_liouvillian(
     h: Operator, collapses: Sequence[tuple[float, Operator]]
 ) -> Liouvillian:
     """Assemble the generator from a Hamiltonian and (rate, operator) pairs.
+
+    This is the direct Kronecker-product builder for any operators; model
+    points go through :func:`assemble`, which reproduces it bit for bit.
 
     Raises
     ------
@@ -83,27 +119,87 @@ def build_liouvillian(
     StateValidityError
         If the Hamiltonian is not Hermitian within tolerance.
     """
-    defect = hermiticity_defect(h.mat)
-    if defect > HERMITIAN_INPUT_TOL:
-        raise StateValidityError(
-            f"Hamiltonian Hermiticity defect {defect:.3e} exceeds {HERMITIAN_INPUT_TOL}"
-        )
+    _require_hermitian(h)
     space = h.space
-    d = space.total_dim
-    eye = sp.identity(d, dtype=complex, format="csr")
+    eye = sp.identity(space.total_dim, dtype=complex, format="csr")
     hs = sp.csr_matrix(h.mat)
     lio = -1j * (sp.kron(eye, hs, format="csr") - sp.kron(hs.T, eye, format="csr"))
     for rate, op in collapses:
         if op.space != space:
             raise SpaceMismatchError("collapse operator on a different space")
-        o = sp.csr_matrix(op.mat)
-        odo = (o.conjugate().T @ o).tocsr()
-        lio = lio + rate * (
-            sp.kron(o.conjugate(), o, format="csr")
-            - 0.5 * sp.kron(eye, odo, format="csr")
-            - 0.5 * sp.kron(odo.T, eye, format="csr")
-        )
+        lio = lio + rate * _dissipator(sp.csr_matrix(op.mat), eye)
     return Liouvillian(space, lio.tocsr())
+
+
+@dataclass(frozen=True, eq=False)
+class LiouvillianBasis:
+    """Every term's superoperator of one space on one shared CSR pattern.
+
+    ``stack`` has one row per stored entry of the pattern and one column per
+    superoperator: the two halves ``-i (I kron G)`` and ``+i (G^T kron I)`` of
+    each Hamiltonian generator's commutator, then each jump operator's
+    dissipator. Kept apart, the halves make every diagonal entry round as
+    ``c G_ket - c G_bra``, the way the Kronecker builder rounds it, so
+    ``stack @ coeffs`` is bit for bit the data of that builder's L. The
+    pattern arrays are read-only: every point assembles on copies of them.
+    """
+
+    space: HilbertSpace
+    indptr: np.ndarray
+    indices: np.ndarray
+    stack: sp.csr_matrix
+
+    @classmethod
+    def from_generators(
+        cls, space: HilbertSpace, hamiltonian: Sequence[Operator], jumps: Sequence[Operator]
+    ) -> "LiouvillianBasis":
+        """Build the basis; a non-Hermitian Hamiltonian generator raises
+        StateValidityError, so real coefficients always give a Hermitian H."""
+        eye = sp.identity(space.total_dim, dtype=complex, format="csr")
+        terms = []
+        for g in hamiltonian:
+            _require_hermitian(g)
+            gs = sp.csr_matrix(g.mat)
+            terms += [-1j * sp.kron(eye, gs, format="csr"), 1j * sp.kron(gs.T, eye, format="csr")]
+        terms += [_dissipator(sp.csr_matrix(o.mat), eye) for o in jumps]
+        n = space.total_dim ** 2
+        coo = [t.tocoo() for t in terms]
+        keys, entry = np.unique(
+            np.concatenate([c.row.astype(np.int64) * n + c.col for c in coo]),
+            return_inverse=True,
+        )
+        column = np.repeat(np.arange(len(coo)), [c.nnz for c in coo])
+        values = np.concatenate([c.data for c in coo])
+        stack = sp.csr_matrix((values, (entry, column)), shape=(len(keys), len(coo)))
+        # keys are sorted row-major, so the pattern's CSR order is theirs
+        pattern = sp.csr_matrix((np.ones(len(keys)), (keys // n, keys % n)), shape=(n, n))
+        for arr in (pattern.indptr, pattern.indices, stack.data, stack.indices, stack.indptr):
+            arr.flags.writeable = False
+        return cls(space, pattern.indptr, pattern.indices, stack)
+
+    def assemble(self, h_coeffs: Sequence[float], rates: Sequence[float]) -> Liouvillian:
+        """L for real Hamiltonian coefficients and channel rates, in the order
+        of the generators. Entries that come out exactly zero are dropped, as
+        the Kronecker builder drops them."""
+        n = self.space.total_dim ** 2
+        coeffs = np.concatenate((np.repeat(np.asarray(h_coeffs, dtype=float), 2),
+                                 np.asarray(rates, dtype=float)))
+        data = self.stack @ coeffs
+        mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        mat.eliminate_zeros()
+        return Liouvillian(self.space, mat)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def liouvillian_basis(space: HilbertSpace) -> LiouvillianBasis:
+    """The cached basis of the model whose factor labels ``space`` carries."""
+    return LiouvillianBasis.from_generators(space, *term_generators(space))
+
+
+def assemble(p: MqParams | DetectionParams, space: HilbertSpace) -> Liouvillian:
+    """Generator of the params' model on ``space``: one product of the space's
+    cached basis with the params' term coefficients."""
+    return liouvillian_basis(space).assemble(*term_coefficients(p, space))
 
 
 def apply(liou: Liouvillian, rho_mat: np.ndarray) -> np.ndarray:
@@ -122,6 +218,18 @@ def trace_preservation_residual(liou: Liouvillian) -> float:
 def max_abs_entry(liou: Liouvillian) -> float:
     data = liou.matrix.data
     return float(np.max(np.abs(data))) if data.size else 0.0
+
+
+def _with_trace_row(m: sp.csr_matrix, d: int, weight: float) -> sp.csc_matrix:
+    """``m`` with row 0 replaced by ``weight * vec(I)^T``, spliced on the CSR
+    arrays; ``m`` itself is left untouched."""
+    start = m.indptr[1]
+    indptr = np.concatenate(([0], m.indptr[1:] - start + d)).astype(m.indptr.dtype)
+    indices = np.concatenate(
+        (np.arange(0, d * d, d + 1, dtype=m.indices.dtype), m.indices[start:])
+    )
+    data = np.concatenate((np.full(d, weight, dtype=m.dtype), m.data[start:]))
+    return sp.csr_matrix((data, indices, indptr), shape=m.shape).tocsc()
 
 
 def steady_state(liou: Liouvillian) -> DensityMatrix:
@@ -146,14 +254,11 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     if scale == 0.0:
         raise SteadyStateError("generator is identically zero; no unique fixed point")
     weight = float(np.mean(np.abs(liou.matrix.data)))
-    a = liou.matrix.tolil(copy=True)
-    trace_row = np.zeros(n)
-    trace_row[:: d + 1] = weight
-    a[0, :] = trace_row
+    a = _with_trace_row(liou.matrix, d, weight)
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = weight
     try:
-        x = splu(a.tocsc()).solve(rhs)
+        x = splu(a).solve(rhs)
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
     rho = unvec(x, d)

@@ -35,13 +35,12 @@ from .hilbert import lowering
 from .model import (
     DetectionParams,
     MqParams,
-    build_model,
     flat_params,
     model_space,
     with_flat_updates,
     with_two_drive_optimum,
 )
-from .solver import build_liouvillian, steady_state, steady_state_residual
+from .solver import assemble, steady_state, steady_state_residual
 
 CONVERGENCE_RTOL = 5e-3
 CUTOFF_INCREMENT = 2
@@ -170,8 +169,8 @@ def solve_point(
     if not set(scalars) <= set(_SCALARS):
         raise ParameterError(f"unknown scalars in {list(scalars)} (valid: {list(_SCALARS)})")
     wanted = {name: entry for name, entry in _SCALARS.items() if name in scalars}
-    space, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
-    liou = build_liouvillian(h, c_ops)
+    space = model_space(params, mech_cutoff, cavity_cutoff)
+    liou = assemble(params, space)
     rho = steady_state(liou)
     observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation}
     labels = [label for _, label in wanted.values()] + (["m"] if tau_grid is not None else [])

@@ -168,6 +168,16 @@ def test_thermal_occupation_limits():
         thermal_occupation(1e9, -0.1)
 
 
+def test_thermal_occupation_depends_on_the_ratio_only():
+    # h f / k T = 1e-9 .. 1e2 at frequencies and temperatures whose products
+    # with HBAR and K_B underflow
+    for ratio in (1e-9 / 4.799243073366221e-11, 1.0, 100.0, 1e12):
+        ordinary = thermal_occupation(ratio, 1.0)
+        assert ordinary > 0.0
+        assert thermal_occupation(ratio * 1e-300, 1e-300) == pytest.approx(ordinary, rel=1e-12)
+    assert thermal_occupation(6e9, 1e-320) == 0.0
+
+
 def test_thermal_occupation_monotonicity():
     # ranges keep the exponent well away from the underflow guard, where
     # both values would round to exactly zero

@@ -56,6 +56,16 @@ def test_thermal_rejects_non_finite_input(capsys, freq, temp):
     assert "n_th" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "freq, temp, n_th",
+    # K_B * T underflows to 0; then both 2 pi HBAR f and K_B * T underflow
+    [("6e9", "1e-320", 0.0), ("1e-300", "1e-302", 2.083662e8)],
+)
+def test_thermal_survives_underflowing_products(capsys, freq, temp, n_th):
+    assert cli_main(["thermal", "--freq", freq, "--temp", temp]) == 0
+    assert _value(capsys.readouterr().out, "n_th") == pytest.approx(n_th, rel=1e-6)
+
+
 def test_steady_summary(capsys):
     code = cli_main(
         ["steady", "--delta", "0", "--j", "0.70710678", "--eps", "0.01"]

@@ -1,7 +1,6 @@
 """Hamiltonian assembly, collapse channels, and the dressed ladder."""
 
 from dataclasses import fields
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ from phonoblock.hilbert import hermiticity_defect, lowering, make_space, number
 from phonoblock.model import (
     DetectionParams,
     MqParams,
-    _h_two_mode_terms,
+    _TWO_MODE_H,
+    _hamiltonian,
     build_h_mq,
     build_h_total,
     build_model,
@@ -167,20 +167,18 @@ def test_dressed_spectrum_matches_dense_diagonalization():
 
 def test_drive_sign_phase_invariance():
     # (omega, phi) -> (-omega, phi + pi) leaves the drive terms unchanged.
-    # MqParams rejects a negative drive amplitude, so a namespace stands in.
+    # MqParams rejects a negative drive amplitude, so a plain field map stands in.
     space = two_mode_space(4)
-    modes = [lowering(space, "m"), lowering(space, "q")]
+    modes = {"m": lowering(space, "m"), "q": lowering(space, "q")}
     for _ in range(20):
         eps = float(RNG.uniform(0, 1))
         omega = float(RNG.uniform(0, 1))
         phi = float(RNG.uniform(-np.pi, np.pi))
-        direct = SimpleNamespace(delta=0.0, j=0.0, eps=eps, omega_drv=omega, phi=phi)
-        flipped = SimpleNamespace(
-            delta=0.0, j=0.0, eps=eps, omega_drv=-omega, phi=phi + np.pi
-        )
+        direct = dict(delta=0.0, j=0.0, eps=eps, omega_drv=omega, phi=phi)
+        flipped = dict(delta=0.0, j=0.0, eps=eps, omega_drv=-omega, phi=phi + np.pi)
         assert np.allclose(
-            _h_two_mode_terms(direct, modes).mat,
-            _h_two_mode_terms(flipped, modes).mat,
+            _hamiltonian(_TWO_MODE_H, direct, modes).mat,
+            _hamiltonian(_TWO_MODE_H, flipped, modes).mat,
             atol=1e-14,
         )
 

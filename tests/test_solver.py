@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import splu
 
 from phonoblock.correlations import g2_tau
 from phonoblock.errors import (
     EvolutionError,
+    ParameterError,
     SpaceMismatchError,
     StateValidityError,
     SteadyStateError,
@@ -21,11 +23,22 @@ from phonoblock.hilbert import (
     make_space,
     number,
 )
-from phonoblock.model import MqParams, build_h_mq, collapse_ops, two_mode_space
+from phonoblock.model import (
+    DetectionParams,
+    MqParams,
+    build_h_mq,
+    build_model,
+    collapse_ops,
+    three_mode_space,
+    two_mode_space,
+)
 from phonoblock.solver import (
     Liouvillian,
+    LiouvillianBasis,
     apply,
+    assemble,
     build_liouvillian,
+    liouvillian_basis,
     evolve,
     steady_state,
     trace_distance,
@@ -123,6 +136,98 @@ def test_build_rejects_space_mismatch():
     h = 0.0 * number(space, "m")
     with pytest.raises(SpaceMismatchError):
         build_liouvillian(h, [(1.0, lowering(other, "m"))])
+
+
+def _random_model_point():
+    """Two- or three-mode params with zero, negative-zero and random values."""
+    def pick(*edges, lo, hi):
+        return float(RNG.choice([*edges, RNG.uniform(lo, hi), RNG.uniform(lo, hi)]))
+
+    base = MqParams(
+        delta=pick(0.0, -0.0, lo=-5.0, hi=5.0),
+        j=pick(0.0, lo=0.0, hi=5.0),
+        eps=pick(0.0, lo=0.0, hi=1.0),
+        omega_drv=pick(0.0, lo=0.0, hi=1.0),
+        phi=pick(0.0, lo=-np.pi, hi=np.pi),
+        kappa=float(RNG.uniform(0.1, 3.0)),
+        gamma=float(RNG.uniform(0.1, 3.0)),
+        n_th=pick(0.0, lo=0.0, hi=1.0),
+    )
+    if RNG.uniform() < 0.5:
+        return base, int(RNG.integers(2, 7)), None
+    g_om = complex(pick(0.0, -0.0, lo=-1.0, hi=1.0), pick(0.0, lo=-1.0, hi=1.0))
+    params = DetectionParams(base=base, g_om=g_om, gamma_cav=float(RNG.uniform(1.0, 20.0)))
+    return params, int(RNG.integers(2, 5)), int(RNG.integers(2, 4))
+
+
+def _assert_matches_kron(liou, params, mech_cutoff, cavity_cutoff):
+    _, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
+    kron = build_liouvillian(h, c_ops).matrix
+    np.testing.assert_array_equal(liou.matrix.indptr, kron.indptr)
+    np.testing.assert_array_equal(liou.matrix.indices, kron.indices)
+    # the basis rounds every entry as the Kronecker builder does
+    np.testing.assert_array_equal(liou.matrix.data, kron.data)
+
+
+def test_basis_assembly_matches_kron_builder():
+    for _ in range(40):
+        params, mech, cavity = _random_model_point()
+        space = build_model(params, mech, cavity)[0]
+        _assert_matches_kron(assemble(params, space), params, mech, cavity)
+
+
+def test_zero_terms_leave_the_cached_pattern_intact():
+    space = two_mode_space(5)
+    basis = liouvillian_basis(space)
+    for arr in (basis.indptr, basis.indices, basis.stack.data):
+        assert not arr.flags.writeable
+    undriven = MqParams(delta=1.0, j=2.0)  # vacuum: drives and n_th are zero
+    rho = steady_state(assemble(undriven, space))
+    assert expectation(rho, number(space, "m")).real == pytest.approx(0.0, abs=1e-12)
+    driven = MqParams(delta=1.0, j=2.0, eps=0.3, omega_drv=0.2, phi=0.4, n_th=0.1)
+    liou = assemble(driven, space)
+    assert liou.matrix.nnz > assemble(undriven, space).matrix.nnz
+    _assert_matches_kron(liou, driven, 5, None)
+
+
+def test_assemble_rejects_the_other_models_space():
+    with pytest.raises(ParameterError):
+        assemble(MqParams(), three_mode_space(2, 2))
+    with pytest.raises(ParameterError):
+        assemble(DetectionParams(), two_mode_space(3))
+
+
+def test_basis_rejects_non_hermitian_generator():
+    space = make_space([("m", 3)])
+    with pytest.raises(StateValidityError):
+        LiouvillianBasis.from_generators(space, [lowering(space, "m")], [])
+
+
+def _tolil_steady_state(liou):
+    """Row 0 replaced through a LIL copy, then the same solve as steady_state."""
+    d = liou.dim
+    weight = float(np.mean(np.abs(liou.matrix.data)))
+    a = liou.matrix.tolil(copy=True)
+    trace_row = np.zeros(d * d)
+    trace_row[:: d + 1] = weight
+    a[0, :] = trace_row
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = weight
+    rho = unvec(splu(a.tocsc()).solve(rhs), d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def test_spliced_trace_row_is_bit_equal_to_lil_assignment():
+    space = make_space([("m", 4), ("q", "qubit")])
+    for _ in range(10):
+        liou = build_liouvillian(_random_hermitian(space), _random_collapses(space, n=3))
+        before = liou.matrix.copy()
+        np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
+        assert (liou.matrix != before).nnz == 0
+    params = MqParams(delta=1.0, j=3.0, eps=0.2, omega_drv=0.1, n_th=0.01)
+    liou = assemble(params, two_mode_space(6))
+    np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
 
 
 def test_steady_state_vacuum_fixed_point():
