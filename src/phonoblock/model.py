@@ -10,6 +10,7 @@ are expected in a common unit (conventionally the qubit damping ``kappa``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
@@ -22,6 +23,9 @@ from .hilbert import HilbertSpace, Operator, lowering, make_space
 DEFAULT_MECH_CUTOFF = 8
 DEFAULT_MECH_CUTOFF_THREE_MODE = 6
 DEFAULT_CAVITY_CUTOFF = 3
+# (space, label) pairs whose lowering operator stays cached: the three modes
+# of each of the four spaces whose Liouvillian basis the solver keeps.
+LOWERING_CACHE_SIZE = 12
 
 
 def wrap_phase(phi: float) -> float:
@@ -215,10 +219,21 @@ def _require_labels(space: HilbertSpace, labels: tuple[str, ...]) -> None:
         raise ParameterError(f"model needs factors labelled {labels}, got {space!r}")
 
 
+@functools.lru_cache(maxsize=LOWERING_CACHE_SIZE)
+def mode_lowering(space: HilbertSpace, label: str) -> Operator:
+    """:func:`~phonoblock.hilbert.lowering`, built once per (space, label).
+
+    Every caller shares the returned operator, so its matrix is read-only.
+    """
+    op = lowering(space, label)
+    op.mat.flags.writeable = False
+    return op
+
+
 def _lowering_ops(space: HilbertSpace, labels: tuple[str, ...]) -> dict[str, Operator]:
     """Lowering operators of ``space`` by label, in label order; other labels raise."""
     _require_labels(space, labels)
-    return {label: lowering(space, label) for label in labels}
+    return {label: mode_lowering(space, label) for label in labels}
 
 
 def _number_sum(o: Mapping[str, Operator]) -> Operator:

@@ -26,11 +26,23 @@ and solving the resulting nonsingular system with a direct sparse LU
 factorization. Time evolution applies the exact action of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011) through
 ``scipy.sparse.linalg.expm_multiply``.
+
+SuperLU's COLAMD column order depends only on the sparsity pattern, so it is
+computed once per pattern (:class:`ColumnOrderCache`, keyed by the exact CSR
+pattern of the system, since a zero rate or drive drops entries on the same
+space) and reused: a later system with that pattern is factored as the
+symmetric permutation P^T A P with ``permc_spec="NATURAL"``, each column's
+entries kept in A's own storage order. SuperLU then meets the same entries
+in the same order and breaks pivot ties towards the same diagonal entry, so
+factors and solution are bit for bit those of a fresh COLAMD factorization.
+Permuting only the columns would not do: SuperLU prefers the diagonal of the
+matrix it is given, and on tied pivots that moves the solution.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,6 +72,9 @@ MAX_SUBSTEPS = 100_000
 # Spaces whose Liouvillian basis stays cached: a sweep uses two (its cutoff
 # and the cutoff + 2 re-solve), a three-mode detect three.
 BASIS_CACHE_SIZE = 4
+# Sparsity patterns whose column order stays cached: a rate or drive that is
+# zero drops its entries, so one space can give more than one pattern.
+ORDER_CACHE_SIZE = 2 * BASIS_CACHE_SIZE
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,16 +235,109 @@ def max_abs_entry(liou: Liouvillian) -> float:
     return float(np.max(np.abs(data))) if data.size else 0.0
 
 
-def _with_trace_row(m: sp.csr_matrix, d: int, weight: float) -> sp.csc_matrix:
-    """``m`` with row 0 replaced by ``weight * vec(I)^T``, spliced on the CSR
-    arrays; ``m`` itself is left untouched."""
+def _with_trace_row(
+    m: sp.csr_matrix, d: int, weight: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR arrays (data, indices, indptr) of ``m`` with row 0 replaced by
+    ``weight * vec(I)^T``, spliced on the CSR arrays; ``m`` itself is left
+    untouched."""
     start = m.indptr[1]
     indptr = np.concatenate(([0], m.indptr[1:] - start + d)).astype(m.indptr.dtype)
     indices = np.concatenate(
         (np.arange(0, d * d, d + 1, dtype=m.indices.dtype), m.indices[start:])
     )
     data = np.concatenate((np.full(d, weight, dtype=m.dtype), m.data[start:]))
-    return sp.csr_matrix((data, indices, indptr), shape=m.shape).tocsc()
+    return data, indices, indptr
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnOrder:
+    """SuperLU's column order for one sparsity pattern, and the layout that
+    factors a matrix of that pattern in it.
+
+    ``perm[i]`` is the position of row and column i in the symmetrically
+    permuted matrix P^T A P. ``gather``, ``indices`` and ``indptr`` are its
+    CSC arrays: ``data[gather]`` for the CSR data of A. Within each column the
+    entries keep the order of A's own CSC arrays. All arrays are owned and
+    read-only.
+    """
+
+    perm: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def of_pattern(
+        cls, indices: np.ndarray, indptr: np.ndarray, perm: np.ndarray
+    ) -> "ColumnOrder":
+        """Layout of the CSR pattern (indices, indptr) under ``perm``, the
+        ``perm_c`` of a SuperLU factorization of that pattern."""
+        n = len(indptr) - 1
+        perm = np.asarray(perm)
+        # columns relabelled, rows in A's labels: tocsc keeps them ascending,
+        # as in A's CSC arrays; the entry numbers become the gather
+        slots = sp.csr_matrix(
+            (np.arange(len(indices)), perm[indices], indptr), shape=(n, n)
+        ).tocsc()
+        # owned copies: SuperLU's perm_c is a view that keeps the whole
+        # factorization alive
+        arrays = [
+            np.array(a, dtype=np.intc)
+            for a in (perm, slots.data, perm[slots.indices], slots.indptr)
+        ]
+        for arr in arrays:
+            arr.flags.writeable = False
+        return cls(*arrays)
+
+    def solve(self, data: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs for the CSR data of A, factored in this order."""
+        n = len(self.perm)
+        mat = sp.csc_matrix((data[self.gather], self.indices, self.indptr), shape=(n, n))
+        # The entries are not sorted within a column, and must not be: their
+        # order breaks SuperLU's pivot ties. splu sorts unless told otherwise;
+        # the pattern has no duplicates, so the canonical flag is safe to set.
+        mat.has_canonical_format = True
+        b = np.empty_like(rhs)
+        b[self.perm] = rhs
+        return splu(mat, permc_spec="NATURAL").solve(b)[self.perm]
+
+
+class ColumnOrderCache:
+    """Column orders by sparsity pattern, for at most ``size`` patterns; the
+    least recently used is dropped first. ``misses`` counts the COLAMD
+    factorizations, one per new pattern."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.misses = 0
+        self._orders: OrderedDict[tuple[bytes, bytes], ColumnOrder] = OrderedDict()
+
+    def orders(self) -> list[ColumnOrder]:
+        return list(self._orders.values())
+
+    def solve(
+        self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rhs: np.ndarray
+    ) -> np.ndarray:
+        """Solve A x = rhs for A given by its CSR arrays. A new pattern is
+        factored with COLAMD and its column order kept; a known one reuses it.
+        SuperLU's RuntimeError on a singular matrix propagates."""
+        key = (indptr.tobytes(), indices.tobytes())
+        order = self._orders.get(key)
+        if order is not None:
+            self._orders.move_to_end(key)
+            return order.solve(data, rhs)
+        self.misses += 1
+        n = len(indptr) - 1
+        lu = splu(sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc())
+        x = lu.solve(rhs)
+        self._orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
+        if len(self._orders) > self.size:
+            self._orders.popitem(last=False)
+        return x
+
+
+column_orders = ColumnOrderCache(ORDER_CACHE_SIZE)
 
 
 def steady_state(liou: Liouvillian) -> DensityMatrix:
@@ -237,7 +345,8 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
 
     One row of L is replaced by the trace functional (scaled to the mean
     magnitude of L's entries to keep the system well conditioned) and the
-    resulting nonsingular system is solved by sparse LU. The result is
+    resulting nonsingular system is solved by sparse LU, in the column order
+    that :data:`column_orders` keeps for its sparsity pattern. The result is
     Hermitized, normalized to unit trace, and validated.
 
     Raises
@@ -254,11 +363,10 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     if scale == 0.0:
         raise SteadyStateError("generator is identically zero; no unique fixed point")
     weight = float(np.mean(np.abs(liou.matrix.data)))
-    a = _with_trace_row(liou.matrix, d, weight)
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = weight
     try:
-        x = splu(a).solve(rhs)
+        x = column_orders.solve(*_with_trace_row(liou.matrix, d, weight), rhs)
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
     rho = unvec(x, d)

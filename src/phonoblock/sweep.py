@@ -21,6 +21,7 @@ sweep.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -28,19 +29,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import solver
 from .analytics import OptimalRoots, optimal_drive_roots
 from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ParameterError, PhonoblockError, SweepError
-from .hilbert import lowering
 from .model import (
     DetectionParams,
     MqParams,
     flat_params,
+    mode_lowering,
     model_space,
     with_flat_updates,
     with_two_drive_optimum,
 )
 from .solver import assemble, steady_state, steady_state_residual
+
+log = logging.getLogger(__name__)
 
 CONVERGENCE_RTOL = 5e-3
 CUTOFF_INCREMENT = 2
@@ -174,7 +178,7 @@ def solve_point(
     rho = steady_state(liou)
     observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation}
     labels = [label for _, label in wanted.values()] + (["m"] if tau_grid is not None else [])
-    ops = {label: lowering(space, label) for label in dict.fromkeys(labels)}
+    ops = {label: mode_lowering(space, label) for label in dict.fromkeys(labels)}
     values = {name: observables[obs](rho, ops[label]) for name, (obs, label) in wanted.items()}
     series = None
     if tau_grid is not None:
@@ -182,10 +186,25 @@ def solve_point(
     return values, series, steady_state_residual(liou, rho)
 
 
+def _timed(seconds: dict[str, float], stage: str, *solve_args):
+    """solve_point(*solve_args), its time added to ``seconds[stage]`` even when it raises."""
+    start = time.perf_counter()
+    try:
+        return solve_point(*solve_args)
+    finally:
+        seconds[stage] += time.perf_counter() - start
+
+
 def _evaluate_point(
-    spec: SweepSpec, point: Mapping[str, float], mech: int, cavity: int | None
+    spec: SweepSpec,
+    point: Mapping[str, float],
+    mech: int,
+    cavity: int | None,
+    seconds: dict[str, float],
 ) -> tuple[dict[str, float], list[float] | None, bool, float, str | None]:
-    """Returns (scalars, tau series, converged flag, residual, error)."""
+    """Returns (scalars, tau series, converged flag, residual, error). The time
+    of the reported solve and of the re-solve is added to ``seconds`` under
+    ``steady_s`` and ``refine_s``."""
     try:
         params = _resolve_params(spec, point)
         roots_cols: dict[str, float] = {}
@@ -198,9 +217,10 @@ def _evaluate_point(
             return roots_cols, None, True, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
-        scalars, series, residual = solve_point(params, mech, cavity, check_outputs,
-                                                spec.tau_grid)
-        refined, _, _ = solve_point(params, mech + CUTOFF_INCREMENT, cavity, check_outputs)
+        scalars, series, residual = _timed(seconds, "steady_s", params, mech, cavity,
+                                           check_outputs, spec.tau_grid)
+        refined, _, _ = _timed(seconds, "refine_s", params, mech + CUTOFF_INCREMENT, cavity,
+                               check_outputs)
         converged = all(
             _rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL for k in check_outputs
         )
@@ -247,7 +267,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     three_mode = isinstance(spec.fixed, DetectionParams)
     mech = space.factor("m").dim - 1
     cavity = space.factor("a").dim - 1 if three_mode else None
-    results = [_evaluate_point(spec, pt, mech, cavity) for pt in points]
+    seconds = {"steady_s": 0.0, "refine_s": 0.0}
+    misses = solver.column_orders.misses
+    results = [_evaluate_point(spec, pt, mech, cavity, seconds) for pt in points]
+    log.debug("%d points: %.3fs reported solves, %.3fs re-solves, %d new column orders",
+              len(points), seconds["steady_s"], seconds["refine_s"],
+              solver.column_orders.misses - misses)
 
     order = _column_order(spec)
     n = len(points)
@@ -297,6 +322,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "rows": n,
         "failures": failures,
         "max_steady_residual": max_residual,
+        **seconds,
         "wall_time_s": time.perf_counter() - start,
     }
     return SweepResult(columns=columns, column_order=order, metadata=metadata)

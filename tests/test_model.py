@@ -20,6 +20,7 @@ from phonoblock.model import (
     device_preset,
     dressed_spectrum,
     flat_params,
+    mode_lowering,
     three_mode_space,
     two_mode_space,
     with_flat_updates,
@@ -259,6 +260,19 @@ def test_three_mode_hamiltonian_contains_the_two_mode_terms():
     h_mq = build_h_mq(base, two_mode_space(5))
     d = h_mq.mat.shape[0]
     assert np.array_equal(h.mat[:d, :d], h_mq.mat)
+
+
+def test_lowering_operators_are_built_once_and_shared():
+    space = three_mode_space(2, 3)
+    for label in space.labels:
+        op = mode_lowering(space, label)
+        assert mode_lowering(three_mode_space(2, 3), label) is op
+        assert not op.mat.flags.writeable
+        np.testing.assert_array_equal(op.mat, lowering(space, label).mat)
+    _, cavity_jump = collapse_ops(DetectionParams(gamma_cav=2.0), space)[-1]
+    assert cavity_jump is mode_lowering(space, "a")
+    with pytest.raises(ParameterError):
+        mode_lowering(space, "x")
 
 
 def test_device_preset_matches_reported_numbers():

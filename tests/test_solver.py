@@ -23,16 +23,20 @@ from phonoblock.hilbert import (
     make_space,
     number,
 )
+from phonoblock import solver
 from phonoblock.model import (
     DetectionParams,
     MqParams,
     build_h_mq,
     build_model,
     collapse_ops,
+    model_space,
     three_mode_space,
     two_mode_space,
 )
 from phonoblock.solver import (
+    ORDER_CACHE_SIZE,
+    ColumnOrderCache,
     Liouvillian,
     LiouvillianBasis,
     apply,
@@ -228,6 +232,80 @@ def test_spliced_trace_row_is_bit_equal_to_lil_assignment():
     params = MqParams(delta=1.0, j=3.0, eps=0.2, omega_drv=0.1, n_th=0.01)
     liou = assemble(params, two_mode_space(6))
     np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
+
+
+# One sweep-like run on a space: every pattern change a sweep can meet, each
+# then repeated with other values, so some points miss and some reuse.
+_PATTERN_RUN = (
+    dict(delta=1.0, j=3.0, eps=0.2, omega_drv=0.1, phi=0.3, n_th=0.01),
+    dict(delta=-2.5, j=1.5, eps=0.1, omega_drv=0.3, phi=-1.0, n_th=0.2),
+    dict(delta=1.0, j=3.0, eps=0.2, omega_drv=0.1, phi=0.3, n_th=0.0),
+    dict(delta=0.7, j=2.0, eps=0.3, omega_drv=0.0, n_th=0.05),
+    dict(delta=0.0, j=3.0, eps=0.2, omega_drv=0.1, phi=0.3, n_th=0.01),
+    dict(delta=-1.2, j=0.5, eps=0.05, omega_drv=0.2, phi=2.0, n_th=0.0),
+    dict(delta=2.0, j=1.0, eps=0.4, omega_drv=0.0, n_th=0.3),
+    dict(delta=0.0, j=2.5, eps=0.1, omega_drv=0.05, phi=1.0, n_th=0.0),
+    dict(delta=3.0, j=3.0, eps=0.2, omega_drv=0.1, phi=-0.3, n_th=0.01),
+)
+
+
+def _three_mode(**fields):
+    return DetectionParams(base=MqParams(**fields), g_om=0.1 - 0.05j, gamma_cav=10.0)
+
+
+# On these spaces SuperLU meets tied pivots, so an order that permutes only
+# the columns (and so prefers other diagonal entries) gives other bits.
+@pytest.mark.parametrize(
+    "make, mech, cavity", [(MqParams, 5, None), (_three_mode, 3, 3)], ids=["two", "three"]
+)
+def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
+    monkeypatch, make, mech, cavity
+):
+    cache = ColumnOrderCache(ORDER_CACHE_SIZE)
+    monkeypatch.setattr(solver, "column_orders", cache)
+    factorizations = []
+
+    def recording_splu(a, **kwargs):
+        lu = splu(a, **kwargs)
+        factorizations.append((kwargs.get("permc_spec", "COLAMD"), lu.perm_c.copy()))
+        return lu
+
+    monkeypatch.setattr(solver, "splu", recording_splu)
+    patterns = set()
+    for fields in _PATTERN_RUN:
+        params = make(**fields)
+        liou = assemble(params, model_space(params, mech, cavity))
+        np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
+        _, indices, indptr = solver._with_trace_row(liou.matrix, liou.dim, 1.0)
+        patterns.add((indptr.tobytes(), indices.tobytes()))
+    assert 3 <= len(patterns) < len(_PATTERN_RUN)
+    # one COLAMD factorization per pattern; every other point reuses its order
+    # and SuperLU permutes no column a second time
+    assert cache.misses == len(patterns)
+    specs = [spec for spec, _ in factorizations]
+    assert specs.count("COLAMD") == len(patterns)
+    assert specs.count("NATURAL") == len(_PATTERN_RUN) - len(patterns)
+    n = liou.dim ** 2
+    for spec, perm_c in factorizations:
+        if spec == "NATURAL":
+            np.testing.assert_array_equal(perm_c, np.arange(n))
+
+
+def test_column_order_cache_keeps_owned_orders_within_its_bound(monkeypatch):
+    cache = ColumnOrderCache(2)
+    monkeypatch.setattr(solver, "column_orders", cache)
+    params = MqParams(delta=1.0, j=2.0, eps=0.2, omega_drv=0.1, n_th=0.01)
+    for mech in (2, 3, 4, 3, 2):
+        liou = assemble(params, two_mode_space(mech))
+        np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
+        assert len(cache.orders()) <= 2
+        for order in cache.orders():
+            for arr in (order.perm, order.gather, order.indices, order.indptr):
+                assert arr.base is None
+                assert not arr.flags.writeable
+    # cutoff 3 was reused; cutoff 2 was dropped by cutoff 4 and came back
+    assert cache.misses == 4
+    assert len(solver.column_orders.orders()) <= ORDER_CACHE_SIZE
 
 
 def test_steady_state_vacuum_fixed_point():

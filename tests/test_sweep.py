@@ -1,5 +1,6 @@
 """Grid engine: ordering, determinism, failure markers, and presets."""
 
+import logging
 import math
 from dataclasses import replace
 
@@ -171,9 +172,11 @@ def test_convergence_flag_detects_undertrunction():
     assert not result.columns["converged"][0]
 
 
-def test_metadata_contents():
+def test_metadata_contents(caplog):
     spec = SweepSpec(axes=(("delta", (0.0, 1.0)),), fixed=replace(WEAK, j=1.0))
-    result = run_sweep(spec)
+    with caplog.at_level(logging.DEBUG, logger="phonoblock.sweep"):
+        result = run_sweep(spec)
+    assert "new column orders" in caplog.text
     meta = result.metadata
     assert meta["rows"] == 2
     assert meta["model"] == "two_mode"
@@ -181,6 +184,8 @@ def test_metadata_contents():
     assert meta["axes"][0]["name"] == "delta"
     assert meta["max_steady_residual"] >= 0.0
     assert meta["fixed_params"]["j"] == 1.0
+    assert 0.0 < meta["steady_s"] and 0.0 < meta["refine_s"]
+    assert meta["steady_s"] + meta["refine_s"] <= meta["wall_time_s"]
 
 
 def test_three_mode_sweep_point():
