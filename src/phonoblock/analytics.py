@@ -28,8 +28,6 @@ from .model import MqParams, wrap_phase
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
 
-QUADRATIC_RESIDUAL_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class OptimalRoots:

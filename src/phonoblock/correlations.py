@@ -21,14 +21,15 @@ OCCUPATION_FLOOR = 1e-12
 IMAG_RESIDUAL_TOL = 1e-10
 
 
-def mean_occupation(rho_ss: DensityMatrix, mode_lowering: Operator) -> float:
-    """Stationary occupation Tr(b'b rho)."""
-    value = expectation(rho_ss, mode_lowering.dag() @ mode_lowering)
+def mean_occupation(rho_ss: DensityMatrix, b: Operator) -> float:
+    """Stationary occupation Tr(b'b rho) of the mode with lowering operator b."""
+    value = expectation(rho_ss, b.dag() @ b)
     return float(value.real)
 
 
-def g2_zero(rho_ss: DensityMatrix, mode_lowering: Operator) -> float:
-    """Equal-time normalized second-order correlation of one mode.
+def g2_zero(rho_ss: DensityMatrix, b: Operator) -> float:
+    """Equal-time normalized second-order correlation of the mode with
+    lowering operator b.
 
     Returns Tr(b'b'bb rho) / Tr(b'b rho)^2; the value is 1 for a coherent
     fixed point, 2 for a thermal one, and below 1 under blockade.
@@ -38,7 +39,6 @@ def g2_zero(rho_ss: DensityMatrix, mode_lowering: Operator) -> float:
     UnpopulatedModeError
         If the mode occupation is at or below the division-guard floor.
     """
-    b = mode_lowering
     n = expectation(rho_ss, b.dag() @ b)
     if n.real <= OCCUPATION_FLOOR:
         raise UnpopulatedModeError(
@@ -55,7 +55,7 @@ def g2_zero(rho_ss: DensityMatrix, mode_lowering: Operator) -> float:
 def g2_tau(
     liou: Liouvillian,
     rho_ss: DensityMatrix,
-    mode_lowering: Operator,
+    b: Operator,
     tau_grid: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Delayed correlation g2(tau) on an ascending non-negative grid.
@@ -64,7 +64,6 @@ def g2_tau(
     curve relaxes to 1 on the lifetime of the mode. Normalization uses the
     stationary occupation throughout.
     """
-    b = mode_lowering
     n_b = expectation(rho_ss, b.dag() @ b).real
     if n_b <= OCCUPATION_FLOOR:
         raise UnpopulatedModeError(

@@ -251,27 +251,21 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
 
 
-def check_state(
-    rho: DensityMatrix,
-    *,
-    trace_tol: float = TRACE_TOL,
-    herm_tol: float = HERMITICITY_TOL,
-    pos_tol: float = POSITIVITY_TOL,
-) -> None:
+def check_state(rho: DensityMatrix) -> None:
     """Validate trace, Hermiticity, and positivity of a state.
 
     Raises
     ------
     StateValidityError
-        If |Tr rho - 1| > trace_tol, the Hermiticity defect exceeds herm_tol,
-        or the smallest eigenvalue is below pos_tol.
+        If |Tr rho - 1| > TRACE_TOL, the Hermiticity defect exceeds
+        HERMITICITY_TOL, or the smallest eigenvalue is below POSITIVITY_TOL.
     """
     tr = rho.trace
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise StateValidityError(f"trace deviates from one: Tr rho = {tr}")
     defect = hermiticity_defect(rho.mat)
-    if defect > herm_tol:
-        raise StateValidityError(f"Hermiticity defect {defect:.3e} > {herm_tol}")
+    if defect > HERMITICITY_TOL:
+        raise StateValidityError(f"Hermiticity defect {defect:.3e} > {HERMITICITY_TOL}")
     lam = min_eigenvalue(rho.mat)
-    if lam < pos_tol:
-        raise StateValidityError(f"negative eigenvalue {lam:.3e} below {pos_tol}")
+    if lam < POSITIVITY_TOL:
+        raise StateValidityError(f"negative eigenvalue {lam:.3e} below {POSITIVITY_TOL}")

@@ -10,7 +10,6 @@ are expected in a common unit (conventionally the qubit damping ``kappa``).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping
@@ -23,9 +22,6 @@ from .hilbert import HilbertSpace, Operator, lowering, make_space
 DEFAULT_MECH_CUTOFF = 8
 DEFAULT_MECH_CUTOFF_THREE_MODE = 6
 DEFAULT_CAVITY_CUTOFF = 3
-# (space, label) pairs whose lowering operator stays cached: the three modes
-# of each of the four spaces whose Liouvillian basis the solver keeps.
-LOWERING_CACHE_SIZE = 12
 
 
 def wrap_phase(phi: float) -> float:
@@ -219,21 +215,10 @@ def _require_labels(space: HilbertSpace, labels: tuple[str, ...]) -> None:
         raise ParameterError(f"model needs factors labelled {labels}, got {space!r}")
 
 
-@functools.lru_cache(maxsize=LOWERING_CACHE_SIZE)
-def mode_lowering(space: HilbertSpace, label: str) -> Operator:
-    """:func:`~phonoblock.hilbert.lowering`, built once per (space, label).
-
-    Every caller shares the returned operator, so its matrix is read-only.
-    """
-    op = lowering(space, label)
-    op.mat.flags.writeable = False
-    return op
-
-
 def _lowering_ops(space: HilbertSpace, labels: tuple[str, ...]) -> dict[str, Operator]:
     """Lowering operators of ``space`` by label, in label order; other labels raise."""
     _require_labels(space, labels)
-    return {label: mode_lowering(space, label) for label in labels}
+    return {label: lowering(space, label) for label in labels}
 
 
 def _number_sum(o: Mapping[str, Operator]) -> Operator:
@@ -375,20 +360,6 @@ def model_space(
             DEFAULT_MECH_CUTOFF_THREE_MODE if mech_cutoff is None else mech_cutoff,
         )
     return two_mode_space(DEFAULT_MECH_CUTOFF if mech_cutoff is None else mech_cutoff)
-
-
-def build_model(
-    p: MqParams | DetectionParams,
-    mech_cutoff: int | None = None,
-    cavity_cutoff: int | None = None,
-) -> tuple[HilbertSpace, Operator, list[tuple[float, Operator]]]:
-    """Space, Hamiltonian and collapse channels of the params' model.
-
-    Cutoffs resolve as in :func:`model_space`; one below 2 raises ParameterError.
-    """
-    space = model_space(p, mech_cutoff, cavity_cutoff)
-    build_h = build_h_total if isinstance(p, DetectionParams) else build_h_mq
-    return space, build_h(p, space), collapse_ops(p, space)
 
 
 def dressed_spectrum(j: float, delta: float, n_max: int) -> list[tuple[int, float, float]]:

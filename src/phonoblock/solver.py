@@ -27,24 +27,28 @@ factorization. Time evolution applies the exact action of the matrix
 exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011) through
 ``scipy.sparse.linalg.expm_multiply``.
 
-SuperLU's COLAMD column order depends only on the sparsity pattern, so it is
-computed once per pattern (:class:`ColumnOrderCache`, keyed by the exact CSR
-pattern of the system, since a zero rate or drive drops entries on the same
-space) and reused: a later system with that pattern is factored as the
-symmetric permutation P^T A P with ``permc_spec="NATURAL"``, each column's
-entries kept in A's own storage order. SuperLU then meets the same entries
-in the same order and breaks pivot ties towards the same diagonal entry, so
-factors and solution are bit for bit those of a fresh COLAMD factorization.
-Permuting only the columns would not do: SuperLU prefers the diagonal of the
-matrix it is given, and on tied pivots that moves the solution.
+Everything a space needs across points lives in its cached
+:class:`LiouvillianBasis`: the term superoperators, the read-only lowering
+operators the observables use, and SuperLU's COLAMD column order for each
+sparsity pattern of the trace-row system. The order depends only on the
+pattern, which is keyed exactly, since a zero rate or drive drops entries on
+the same space. A pattern's first system is factored with COLAMD; a later
+one is factored as the symmetric permutation P^T A P with
+``permc_spec="NATURAL"``, each column's entries kept in A's own storage
+order. SuperLU then meets the same entries in the same order and breaks
+pivot ties towards the same diagonal entry, so factors and solution are bit
+for bit those of a fresh COLAMD factorization. Permuting only the columns
+would not do: SuperLU prefers the diagonal of the matrix it is given, and on
+tied pivots that moves the solution. An evicted basis takes its operators
+and orders with it, so ``liouvillian_basis.cache_clear()`` resets all
+per-space state.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +60,14 @@ from .errors import (
     StateValidityError,
     SteadyStateError,
 )
-from .hilbert import DensityMatrix, HilbertSpace, Operator, check_state, hermiticity_defect
+from .hilbert import (
+    DensityMatrix,
+    HilbertSpace,
+    Operator,
+    check_state,
+    hermiticity_defect,
+    lowering,
+)
 from .model import DetectionParams, MqParams, term_coefficients, term_generators
 
 HERMITIAN_INPUT_TOL = 1e-10
@@ -69,20 +80,27 @@ TRACE_DRIFT_TOL = 1e-8
 EXPM_NORM_STEP = 10.0
 # Work budget: the most sub-steps one evolve call may take.
 MAX_SUBSTEPS = 100_000
-# Spaces whose Liouvillian basis stays cached: a sweep uses two (its cutoff
-# and the cutoff + 2 re-solve), a three-mode detect three.
+# Spaces whose Liouvillian basis, with its lowering operators and column
+# orders, stays cached: a sweep uses two (its cutoff and the cutoff + 2
+# re-solve), a three-mode detect three.
 BASIS_CACHE_SIZE = 4
-# Sparsity patterns whose column order stays cached: a rate or drive that is
-# zero drops its entries, so one space can give more than one pattern.
-ORDER_CACHE_SIZE = 2 * BASIS_CACHE_SIZE
+
+
+# trace-row sparsity pattern (indptr, indices bytes) -> its column order
+_Orders = dict[tuple[bytes, bytes], "ColumnOrder"]
 
 
 @dataclass(frozen=True, eq=False)
 class Liouvillian:
-    """Sparse master-equation generator on the vectorized state space."""
+    """Sparse master-equation generator on the vectorized state space.
+
+    ``orders`` holds the column orders :func:`steady_state` finds: those of
+    the generator's basis when assembled from one, else a map of its own.
+    """
 
     space: HilbertSpace
     matrix: sp.csr_matrix
+    orders: _Orders = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -157,12 +175,17 @@ class LiouvillianBasis:
     ``c G_ket - c G_bra``, the way the Kronecker builder rounds it, so
     ``stack @ coeffs`` is bit for bit the data of that builder's L. The
     pattern arrays are read-only: every point assembles on copies of them.
+    ``lowering_ops`` holds each factor's read-only lowering operator by
+    label, and ``orders`` the column order of each trace-row pattern solved
+    so far.
     """
 
     space: HilbertSpace
     indptr: np.ndarray
     indices: np.ndarray
     stack: sp.csr_matrix
+    lowering_ops: Mapping[str, Operator]
+    orders: _Orders = field(default_factory=dict)
 
     @classmethod
     def from_generators(
@@ -188,9 +211,11 @@ class LiouvillianBasis:
         stack = sp.csr_matrix((values, (entry, column)), shape=(len(keys), len(coo)))
         # keys are sorted row-major, so the pattern's CSR order is theirs
         pattern = sp.csr_matrix((np.ones(len(keys)), (keys // n, keys % n)), shape=(n, n))
-        for arr in (pattern.indptr, pattern.indices, stack.data, stack.indices, stack.indptr):
+        ops = {label: lowering(space, label) for label in space.labels}
+        for arr in (pattern.indptr, pattern.indices, stack.data, stack.indices, stack.indptr,
+                    *(op.mat for op in ops.values())):
             arr.flags.writeable = False
-        return cls(space, pattern.indptr, pattern.indices, stack)
+        return cls(space, pattern.indptr, pattern.indices, stack, ops)
 
     def assemble(self, h_coeffs: Sequence[float], rates: Sequence[float]) -> Liouvillian:
         """L for real Hamiltonian coefficients and channel rates, in the order
@@ -202,7 +227,7 @@ class LiouvillianBasis:
         data = self.stack @ coeffs
         mat = sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
         mat.eliminate_zeros()
-        return Liouvillian(self.space, mat)
+        return Liouvillian(self.space, mat, self.orders)
 
 
 @functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
@@ -303,51 +328,15 @@ class ColumnOrder:
         return splu(mat, permc_spec="NATURAL").solve(b)[self.perm]
 
 
-class ColumnOrderCache:
-    """Column orders by sparsity pattern, for at most ``size`` patterns; the
-    least recently used is dropped first. ``misses`` counts the COLAMD
-    factorizations, one per new pattern."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.misses = 0
-        self._orders: OrderedDict[tuple[bytes, bytes], ColumnOrder] = OrderedDict()
-
-    def orders(self) -> list[ColumnOrder]:
-        return list(self._orders.values())
-
-    def solve(
-        self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, rhs: np.ndarray
-    ) -> np.ndarray:
-        """Solve A x = rhs for A given by its CSR arrays. A new pattern is
-        factored with COLAMD and its column order kept; a known one reuses it.
-        SuperLU's RuntimeError on a singular matrix propagates."""
-        key = (indptr.tobytes(), indices.tobytes())
-        order = self._orders.get(key)
-        if order is not None:
-            self._orders.move_to_end(key)
-            return order.solve(data, rhs)
-        self.misses += 1
-        n = len(indptr) - 1
-        lu = splu(sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc())
-        x = lu.solve(rhs)
-        self._orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
-        if len(self._orders) > self.size:
-            self._orders.popitem(last=False)
-        return x
-
-
-column_orders = ColumnOrderCache(ORDER_CACHE_SIZE)
-
-
 def steady_state(liou: Liouvillian) -> DensityMatrix:
     """Unique trace-one fixed point of the generator.
 
     One row of L is replaced by the trace functional (scaled to the mean
     magnitude of L's entries to keep the system well conditioned) and the
-    resulting nonsingular system is solved by sparse LU, in the column order
-    that :data:`column_orders` keeps for its sparsity pattern. The result is
-    Hermitized, normalized to unit trace, and validated.
+    resulting nonsingular system is solved by sparse LU. A sparsity pattern
+    new to ``liou.orders`` is factored with COLAMD and its column order kept
+    there; a known one is factored in that order. The result is Hermitized,
+    normalized to unit trace, and validated.
 
     Raises
     ------
@@ -365,8 +354,15 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     weight = float(np.mean(np.abs(liou.matrix.data)))
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = weight
+    data, indices, indptr = _with_trace_row(liou.matrix, d, weight)
+    key = (indptr.tobytes(), indices.tobytes())
     try:
-        x = column_orders.solve(*_with_trace_row(liou.matrix, d, weight), rhs)
+        if key in liou.orders:
+            x = liou.orders[key].solve(data, rhs)
+        else:
+            lu = splu(sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc())
+            x = lu.solve(rhs)
+            liou.orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
     rho = unvec(x, d)

@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import solver
 from .analytics import OptimalRoots, optimal_drive_roots
 from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import ParameterError, PhonoblockError, SweepError
@@ -37,12 +36,11 @@ from .model import (
     DetectionParams,
     MqParams,
     flat_params,
-    mode_lowering,
     model_space,
     with_flat_updates,
     with_two_drive_optimum,
 )
-from .solver import assemble, steady_state, steady_state_residual
+from .solver import assemble, liouvillian_basis, steady_state, steady_state_residual
 
 log = logging.getLogger(__name__)
 
@@ -177,8 +175,7 @@ def solve_point(
     liou = assemble(params, space)
     rho = steady_state(liou)
     observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation}
-    labels = [label for _, label in wanted.values()] + (["m"] if tau_grid is not None else [])
-    ops = {label: mode_lowering(space, label) for label in dict.fromkeys(labels)}
+    ops = liouvillian_basis(space).lowering_ops
     values = {name: observables[obs](rho, ops[label]) for name, (obs, label) in wanted.items()}
     series = None
     if tau_grid is not None:
@@ -268,11 +265,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     mech = space.factor("m").dim - 1
     cavity = space.factor("a").dim - 1 if three_mode else None
     seconds = {"steady_s": 0.0, "refine_s": 0.0}
-    misses = solver.column_orders.misses
+    # the bases of both cutoffs, whose column orders the debug line counts;
+    # built up front only when that line is logged
+    bases = [liouvillian_basis(model_space(spec.fixed, m, cavity))
+             for m in (mech, mech + CUTOFF_INCREMENT)] if log.isEnabledFor(logging.DEBUG) else []
+    known = sum(len(b.orders) for b in bases)
     results = [_evaluate_point(spec, pt, mech, cavity, seconds) for pt in points]
     log.debug("%d points: %.3fs reported solves, %.3fs re-solves, %d new column orders",
               len(points), seconds["steady_s"], seconds["refine_s"],
-              solver.column_orders.misses - misses)
+              sum(len(b.orders) for b in bases) - known)
 
     order = _column_order(spec)
     n = len(points)

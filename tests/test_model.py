@@ -15,12 +15,11 @@ from phonoblock.model import (
     _hamiltonian,
     build_h_mq,
     build_h_total,
-    build_model,
     collapse_ops,
     device_preset,
     dressed_spectrum,
     flat_params,
-    mode_lowering,
+    model_space,
     three_mode_space,
     two_mode_space,
     with_flat_updates,
@@ -262,19 +261,6 @@ def test_three_mode_hamiltonian_contains_the_two_mode_terms():
     assert np.array_equal(h.mat[:d, :d], h_mq.mat)
 
 
-def test_lowering_operators_are_built_once_and_shared():
-    space = three_mode_space(2, 3)
-    for label in space.labels:
-        op = mode_lowering(space, label)
-        assert mode_lowering(three_mode_space(2, 3), label) is op
-        assert not op.mat.flags.writeable
-        np.testing.assert_array_equal(op.mat, lowering(space, label).mat)
-    _, cavity_jump = collapse_ops(DetectionParams(gamma_cav=2.0), space)[-1]
-    assert cavity_jump is mode_lowering(space, "a")
-    with pytest.raises(ParameterError):
-        mode_lowering(space, "x")
-
-
 def test_device_preset_matches_reported_numbers():
     lab, mq = device_preset()
     assert lab.temperature == pytest.approx(0.025)
@@ -321,14 +307,13 @@ def test_flat_params_schema_and_round_trip():
 
 def test_build_model_picks_space_and_default_cutoffs():
     p = MqParams(j=1.0, eps=0.1)
-    space, h, c_ops = build_model(p)
+    space = model_space(p)
     assert space == two_mode_space()
-    assert np.array_equal(h.mat, build_h_mq(p, space).mat)
-    assert len(c_ops) == 2
+    assert len(collapse_ops(p, space)) == 2
     det = DetectionParams(base=MqParams(j=1.0, eps=0.1))
-    space3, h3, c_ops3 = build_model(det, mech_cutoff=4)
+    space3 = model_space(det, mech_cutoff=4)
     assert space3 == three_mode_space(mech_cutoff=4)
-    assert len(c_ops3) == len(collapse_ops(det, space3)) == 3
+    assert len(collapse_ops(det, space3)) == 3
 
 
 @pytest.mark.parametrize(
@@ -341,4 +326,4 @@ def test_build_model_picks_space_and_default_cutoffs():
 )
 def test_build_model_rejects_zero_cutoff(params, cutoffs):
     with pytest.raises(ParameterError, match="cutoff"):
-        build_model(params, **cutoffs)
+        model_space(params, **cutoffs)

@@ -28,15 +28,14 @@ from phonoblock.model import (
     DetectionParams,
     MqParams,
     build_h_mq,
-    build_model,
+    build_h_total,
     collapse_ops,
     model_space,
     three_mode_space,
     two_mode_space,
 )
 from phonoblock.solver import (
-    ORDER_CACHE_SIZE,
-    ColumnOrderCache,
+    BASIS_CACHE_SIZE,
     Liouvillian,
     LiouvillianBasis,
     apply,
@@ -165,8 +164,9 @@ def _random_model_point():
 
 
 def _assert_matches_kron(liou, params, mech_cutoff, cavity_cutoff):
-    _, h, c_ops = build_model(params, mech_cutoff, cavity_cutoff)
-    kron = build_liouvillian(h, c_ops).matrix
+    space = model_space(params, mech_cutoff, cavity_cutoff)
+    build_h = build_h_total if isinstance(params, DetectionParams) else build_h_mq
+    kron = build_liouvillian(build_h(params, space), collapse_ops(params, space)).matrix
     np.testing.assert_array_equal(liou.matrix.indptr, kron.indptr)
     np.testing.assert_array_equal(liou.matrix.indices, kron.indices)
     # the basis rounds every entry as the Kronecker builder does
@@ -176,7 +176,7 @@ def _assert_matches_kron(liou, params, mech_cutoff, cavity_cutoff):
 def test_basis_assembly_matches_kron_builder():
     for _ in range(40):
         params, mech, cavity = _random_model_point()
-        space = build_model(params, mech, cavity)[0]
+        space = model_space(params, mech, cavity)
         _assert_matches_kron(assemble(params, space), params, mech, cavity)
 
 
@@ -255,14 +255,8 @@ def _three_mode(**fields):
 
 # On these spaces SuperLU meets tied pivots, so an order that permutes only
 # the columns (and so prefers other diagonal entries) gives other bits.
-@pytest.mark.parametrize(
-    "make, mech, cavity", [(MqParams, 5, None), (_three_mode, 3, 3)], ids=["two", "three"]
-)
-def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
-    monkeypatch, make, mech, cavity
-):
-    cache = ColumnOrderCache(ORDER_CACHE_SIZE)
-    monkeypatch.setattr(solver, "column_orders", cache)
+def _recording_splu(monkeypatch):
+    """Record (permc_spec, perm_c) of every factorization steady_state makes."""
     factorizations = []
 
     def recording_splu(a, **kwargs):
@@ -271,6 +265,24 @@ def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
         return lu
 
     monkeypatch.setattr(solver, "splu", recording_splu)
+    return factorizations
+
+
+def _assert_owned_read_only(orders):
+    for order in orders.values():
+        for arr in (order.perm, order.gather, order.indices, order.indptr):
+            assert arr.base is None
+            assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make, mech, cavity", [(MqParams, 5, None), (_three_mode, 3, 3)], ids=["two", "three"]
+)
+def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
+    monkeypatch, make, mech, cavity
+):
+    liouvillian_basis.cache_clear()
+    factorizations = _recording_splu(monkeypatch)
     patterns = set()
     for fields in _PATTERN_RUN:
         params = make(**fields)
@@ -279,9 +291,9 @@ def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
         _, indices, indptr = solver._with_trace_row(liou.matrix, liou.dim, 1.0)
         patterns.add((indptr.tobytes(), indices.tobytes()))
     assert 3 <= len(patterns) < len(_PATTERN_RUN)
-    # one COLAMD factorization per pattern; every other point reuses its order
-    # and SuperLU permutes no column a second time
-    assert cache.misses == len(patterns)
+    # one COLAMD factorization per pattern, kept by the space's basis; every
+    # other point reuses its order and SuperLU permutes no column a second time
+    assert set(liouvillian_basis(liou.space).orders) == patterns
     specs = [spec for spec, _ in factorizations]
     assert specs.count("COLAMD") == len(patterns)
     assert specs.count("NATURAL") == len(_PATTERN_RUN) - len(patterns)
@@ -291,21 +303,50 @@ def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
             np.testing.assert_array_equal(perm_c, np.arange(n))
 
 
-def test_column_order_cache_keeps_owned_orders_within_its_bound(monkeypatch):
-    cache = ColumnOrderCache(2)
-    monkeypatch.setattr(solver, "column_orders", cache)
+def test_evicted_basis_takes_its_column_orders_along(monkeypatch):
+    liouvillian_basis.cache_clear()
+    factorizations = _recording_splu(monkeypatch)
     params = MqParams(delta=1.0, j=2.0, eps=0.2, omega_drv=0.1, n_th=0.01)
-    for mech in (2, 3, 4, 3, 2):
-        liou = assemble(params, two_mode_space(mech))
+    spaces = [two_mode_space(mech) for mech in range(2, BASIS_CACHE_SIZE + 3)]
+    first = liouvillian_basis(spaces[0])
+    for space in [spaces[0], *spaces]:
+        liou = assemble(params, space)
         np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
-        assert len(cache.orders()) <= 2
-        for order in cache.orders():
-            for arr in (order.perm, order.gather, order.indices, order.indptr):
-                assert arr.base is None
-                assert not arr.flags.writeable
-    # cutoff 3 was reused; cutoff 2 was dropped by cutoff 4 and came back
-    assert cache.misses == 4
-    assert len(solver.column_orders.orders()) <= ORDER_CACHE_SIZE
+        assert liou.orders is liouvillian_basis(space).orders
+        _assert_owned_read_only(liou.orders)
+    # the first space was solved twice on one order, then evicted by the last
+    assert len(first.orders) == 1
+    assert [spec for spec, _ in factorizations].count("COLAMD") == len(spaces)
+    rebuilt = liouvillian_basis(spaces[0])
+    assert rebuilt is not first and rebuilt.orders == {}
+    liou = assemble(params, spaces[0])
+    np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
+    assert factorizations[-1][0] == "COLAMD"
+    assert rebuilt.orders.keys() == first.orders.keys()
+    _assert_owned_read_only(rebuilt.orders)
+
+
+def test_kron_built_liouvillian_factors_with_fresh_colamd(monkeypatch):
+    factorizations = _recording_splu(monkeypatch)
+    params = MqParams(delta=1.0, j=2.0, eps=0.2, omega_drv=0.1, n_th=0.01)
+    space = two_mode_space(4)
+    # the basis now holds this pattern's order; a Kronecker-built L must not see it
+    steady_state(assemble(params, space))
+    for _ in range(2):
+        liou = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space))
+        assert liou.orders == {}
+        steady_state(liou)
+        assert factorizations[-1][0] == "COLAMD"
+    assert len(liou.orders) == 1
+
+
+def test_basis_lowering_operators_are_read_only_and_exact():
+    space = three_mode_space(2, 3)
+    ops = liouvillian_basis(space).lowering_ops
+    assert list(ops) == list(space.labels)
+    for label, op in ops.items():
+        assert not op.mat.flags.writeable
+        np.testing.assert_array_equal(op.mat, lowering(space, label).mat)
 
 
 def test_steady_state_vacuum_fixed_point():

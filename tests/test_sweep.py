@@ -11,8 +11,8 @@ from phonoblock.analytics import optimal_drive_roots
 from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SweepError
 from phonoblock.hilbert import expectation, lowering
-from phonoblock.model import DetectionParams, MqParams, build_model
-from phonoblock.solver import build_liouvillian, steady_state
+from phonoblock.model import DetectionParams, MqParams, build_h_total, collapse_ops, model_space
+from phonoblock.solver import build_liouvillian, liouvillian_basis, steady_state
 from phonoblock.sweep import (
     SweepSpec,
     figure_panels,
@@ -188,6 +188,28 @@ def test_metadata_contents(caplog):
     assert meta["steady_s"] + meta["refine_s"] <= meta["wall_time_s"]
 
 
+def test_tables_depend_on_neither_cache_state_nor_point_order():
+    # n_th = 0 drops the thermal channels' entries, so the grid has two
+    # trace-row patterns, and each run meets their first points in its own order
+    fixed = MqParams(j=3.0, eps=0.2, omega_drv=0.1, phi=0.3)
+    axes = (("n_th", (0.0, 0.01)), ("delta", (-1.0, 2.0)))
+    outputs = ("g2_zero", "n_b", "converged")
+
+    def by_point(axes):
+        cols = run_sweep(SweepSpec(axes=axes, fixed=fixed, outputs=outputs[:2],
+                                   mech_cutoff=5)).columns
+        return {(cols["n_th"][i], cols["delta"][i]): tuple(cols[k][i].tobytes() for k in outputs)
+                for i in range(len(cols["n_th"]))}
+
+    liouvillian_basis.cache_clear()
+    cold = by_point(axes)
+    warm = by_point(axes)
+    liouvillian_basis.cache_clear()
+    reversed_cold = by_point(tuple((name, values[::-1]) for name, values in axes))
+    assert len(cold) == 4
+    assert cold == warm == reversed_cold
+
+
 def test_three_mode_sweep_point():
     base = MqParams(delta=3.0, j=3.0, eps=0.2, n_th=1e-3)
     spec = SweepSpec(
@@ -251,8 +273,8 @@ def test_solve_point_measures_the_named_modes():
     values, series, residual = solve_point(
         params, 3, 2, ("qubit_excitation", "g2a_zero", "n_a", "n_b", "g2_zero"), (0.0, 0.5)
     )
-    space, h, c_ops = build_model(params, 3, 2)
-    rho = steady_state(build_liouvillian(h, c_ops))
+    space = model_space(params, 3, 2)
+    rho = steady_state(build_liouvillian(build_h_total(params, space), collapse_ops(params, space)))
     a, b, sm = (lowering(space, label) for label in ("a", "m", "q"))
     assert values == {
         "g2_zero": g2_zero(rho, b),
