@@ -15,8 +15,7 @@ Every run echoes its fully resolved configuration into the ``.meta.json``
 sidecar, and rerunning from that echo reproduces the output exactly.
 
 CSV schema: one header line of column names, one row per grid point, decimal
-text with 13 significant digits, complex quantities split into ``_re`` and
-``_im`` columns, and the sentinel ``NA`` for failed points.
+text with 13 significant digits, and the sentinel ``NA`` for failed points.
 """
 
 from __future__ import annotations
@@ -237,20 +236,11 @@ def _format_cell(value) -> str:
 def write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write a sweep table using the package CSV schema."""
     path = Path(path)
-    names: list[str] = []
-    columns: list[np.ndarray] = []
-    for name in result.column_order:
-        col = result.columns[name]
-        if np.iscomplexobj(col):
-            names += [f"{name}_re", f"{name}_im"]
-            columns += [col.real, col.imag]
-        else:
-            names.append(name)
-            columns.append(col)
+    columns = result.columns
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
+        fh.write(",".join(columns) + "\n")
         for i in range(result.n_rows):
-            fh.write(",".join(_format_cell(col[i]) for col in columns) + "\n")
+            fh.write(",".join(_format_cell(col[i]) for col in columns.values()) + "\n")
     return path
 
 
@@ -277,11 +267,10 @@ def write_metadata(metadata: dict, path: str | Path) -> Path:
 def write_plot_script(result: SweepResult, csv_name: str, path: str | Path) -> Path:
     """Plain-text gnuplot script for the CSV emitted next to it."""
     path = Path(path)
-    order = result.column_order
     axes = [a["name"] for a in result.metadata["axes"]]
     data_cols = [
         (i + 1, name)
-        for i, name in enumerate(order)
+        for i, name in enumerate(result.columns)
         if name not in axes and name != "converged" and not name.startswith("g2_tau_")
     ]
     lines = [
@@ -311,7 +300,8 @@ def write_plot_script(result: SweepResult, csv_name: str, path: str | Path) -> P
 
 def write_tau_csv(result: SweepResult, path: str | Path) -> Path | None:
     """Long-format companion for delayed-correlation sweeps: one tau column,
-    one series column per grid row."""
+    one series column per grid row. A sweep without a tau grid writes
+    nothing and returns None."""
     tau_grid = result.metadata.get("tau_grid")
     if not tau_grid:
         return None
@@ -476,8 +466,7 @@ def _emit_sweep(result: SweepResult, outdir: Path, stem: str, plot_script: bool,
     if echo is not None:
         metadata["config_echo"] = echo
     write_metadata(metadata, outdir / f"{stem}.meta.json")
-    if result.metadata.get("tau_grid"):
-        write_tau_csv(result, outdir / f"{stem}_tau.csv")
+    write_tau_csv(result, outdir / f"{stem}_tau.csv")
     if plot_script:
         write_plot_script(result, csv_path.name, outdir / f"{stem}.gp")
     failures = result.metadata["failures"]

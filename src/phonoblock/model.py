@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -210,17 +210,6 @@ def three_mode_space(
     return make_space(zip(_THREE_MODE_LABELS, (cavity_cutoff, mech_cutoff, "qubit")))
 
 
-def _require_labels(space: HilbertSpace, labels: tuple[str, ...]) -> None:
-    if space.labels != labels:
-        raise ParameterError(f"model needs factors labelled {labels}, got {space!r}")
-
-
-def _lowering_ops(space: HilbertSpace, labels: tuple[str, ...]) -> dict[str, Operator]:
-    """Lowering operators of ``space`` by label, in label order; other labels raise."""
-    _require_labels(space, labels)
-    return {label: lowering(space, label) for label in labels}
-
-
 def _number_sum(o: Mapping[str, Operator]) -> Operator:
     """Summed number operator of every mode, so delta scales each diagonal
     entry by one rounded product."""
@@ -273,66 +262,15 @@ _MODELS = {
     _THREE_MODE_LABELS: (_TWO_MODE_H + _READOUT_H, _TWO_MODE_CHANNELS + _READOUT_CHANNELS),
 }
 
-_Terms = tuple[tuple[Callable[[Mapping[str, float | complex]], float],
-                     Callable[[Mapping[str, Operator]], Operator]], ...]
-
-
-def _model_labels(p: MqParams | DetectionParams) -> tuple[str, ...]:
-    return _THREE_MODE_LABELS if isinstance(p, DetectionParams) else _TWO_MODE_LABELS
-
-
-def _hamiltonian(
-    terms: _Terms, f: Mapping[str, float | complex], ops: Mapping[str, Operator]
-) -> Operator:
-    """Sum of coefficient * generator over ``terms``, in table order."""
-    h, *rest = [coefficient(f) * generator(ops) for coefficient, generator in terms]
-    for term in rest:
-        h = h + term
-    return h
-
-
-def build_h_mq(p: MqParams, space: HilbertSpace) -> Operator:
-    """Two-mode rotating-frame Hamiltonian.
-
-    H = delta (sigma+ sigma- + b'b) + j (sigma+ b + b' sigma-)
-        + (omega_drv e^{-i phi} sigma+ + eps b' + h.c.)
-    """
-    return _hamiltonian(_TWO_MODE_H, flat_params(p), _lowering_ops(space, _TWO_MODE_LABELS))
-
-
-def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
-    """Three-mode Hamiltonian with the linearized readout cavity.
-
-    Adds delta a'a + (g_om a'b + conj(g_om) a b') to the two-mode terms. The
-    cavity detuning is tied to the shared rotating frame.
-    """
-    ops = _lowering_ops(space, _THREE_MODE_LABELS)
-    return _hamiltonian(_TWO_MODE_H + _READOUT_H, flat_params(p), ops)
-
-
-def collapse_ops(
-    p: MqParams | DetectionParams, space: HilbertSpace
-) -> list[tuple[float, Operator]]:
-    """Thermal Lindblad channels as (rate, operator) pairs.
-
-    Mechanical and qubit channels carry the shared bath occupation; the
-    cavity channel (three-mode only) is a plain decay at rate ``gamma_cav``.
-    Zero-rate entries are omitted.
-    """
-    labels = _model_labels(p)
-    ops = _lowering_ops(space, labels)
-    f = flat_params(p)
-    channels = [(rate(f), op(ops)) for rate, op in _MODELS[labels][1]]
-    return [(rate, op) for rate, op in channels if rate > 0.0]
-
 
 def term_coefficients(
     p: MqParams | DetectionParams, space: HilbertSpace
 ) -> tuple[list[float], list[float]]:
     """The params' Hamiltonian coefficients and channel rates, in the order of
     :func:`term_generators` on ``space``; a space of another model raises."""
-    labels = _model_labels(p)
-    _require_labels(space, labels)
+    labels = _THREE_MODE_LABELS if isinstance(p, DetectionParams) else _TWO_MODE_LABELS
+    if space.labels != labels:
+        raise ParameterError(f"model needs factors labelled {labels}, got {space!r}")
     f = flat_params(p)
     h_terms, channels = _MODELS[labels]
     return [c(f) for c, _ in h_terms], [rate(f) for rate, _ in channels]
@@ -344,8 +282,47 @@ def term_generators(space: HilbertSpace) -> tuple[list[Operator], list[Operator]
     if space.labels not in _MODELS:
         raise ParameterError(f"no model has the factor labels of {space!r}")
     h_terms, channels = _MODELS[space.labels]
-    ops = _lowering_ops(space, space.labels)
+    ops = {label: lowering(space, label) for label in space.labels}
     return [g(ops) for _, g in h_terms], [op(ops) for _, op in channels]
+
+
+def build_h_mq(p: MqParams | DetectionParams, space: HilbertSpace) -> Operator:
+    """Rotating-frame Hamiltonian of the params' model: each term coefficient
+    times its generator on ``space``, summed in table order. Two-mode:
+
+    H = delta (sigma+ sigma- + b'b) + j (sigma+ b + b' sigma-)
+        + (omega_drv e^{-i phi} sigma+ + eps b' + h.c.)
+    """
+    coefficients, _ = term_coefficients(p, space)
+    generators, _ = term_generators(space)
+    h, *rest = [c * g for c, g in zip(coefficients, generators)]
+    for term in rest:
+        h = h + term
+    return h
+
+
+def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
+    """Three-mode Hamiltonian with the linearized readout cavity, summed from
+    the three-mode term table as :func:`build_h_mq` sums the two-mode one.
+
+    Adds delta a'a + (g_om a'b + conj(g_om) a b') to the two-mode terms. The
+    cavity detuning is tied to the shared rotating frame.
+    """
+    return build_h_mq(p, space)
+
+
+def collapse_ops(
+    p: MqParams | DetectionParams, space: HilbertSpace
+) -> list[tuple[float, Operator]]:
+    """Thermal Lindblad channels as (rate, operator) pairs.
+
+    Mechanical and qubit channels carry the shared bath occupation; the
+    cavity channel (three-mode only) is a plain decay at rate ``gamma_cav``.
+    Zero-rate entries are omitted.
+    """
+    _, rates = term_coefficients(p, space)
+    _, jumps = term_generators(space)
+    return [(rate, op) for rate, op in zip(rates, jumps) if rate > 0.0]
 
 
 def model_space(

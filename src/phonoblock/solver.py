@@ -47,6 +47,7 @@ per-space state.
 from __future__ import annotations
 
 import functools
+import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -69,6 +70,8 @@ from .hilbert import (
     lowering,
 )
 from .model import DetectionParams, MqParams, term_coefficients, term_generators
+
+log = logging.getLogger(__name__)
 
 HERMITIAN_INPUT_TOL = 1e-10
 STEADY_RESIDUAL_RTOL = 1e-9
@@ -334,8 +337,8 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     One row of L is replaced by the trace functional (scaled to the mean
     magnitude of L's entries to keep the system well conditioned) and the
     resulting nonsingular system is solved by sparse LU. A sparsity pattern
-    new to ``liou.orders`` is factored with COLAMD and its column order kept
-    there; a known one is factored in that order. The result is Hermitized,
+    new to ``liou.orders`` is factored with COLAMD, its column order kept
+    there and logged at debug level; a known one is factored in that order. The result is Hermitized,
     normalized to unit trace, and validated.
 
     Raises
@@ -363,6 +366,7 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
             lu = splu(sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc())
             x = lu.solve(rhs)
             liou.orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
+            log.debug("new column order: %d stored entries on %r", len(indices), liou.space)
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
     rho = unvec(x, d)

@@ -120,10 +120,10 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    """Tabular sweep output: named columns plus run metadata."""
+    """Tabular sweep output: named columns, in the order of the CSV columns,
+    plus run metadata."""
 
     columns: dict[str, np.ndarray]
-    column_order: list[str]
     metadata: dict
 
     @property
@@ -198,34 +198,34 @@ def _evaluate_point(
     mech: int,
     cavity: int | None,
     seconds: dict[str, float],
-) -> tuple[dict[str, float], list[float] | None, bool, float, str | None]:
-    """Returns (scalars, tau series, converged flag, residual, error). The time
-    of the reported solve and of the re-solve is added to ``seconds`` under
-    ``steady_s`` and ``refine_s``."""
+) -> tuple[dict[str, float], float, str | None]:
+    """Returns (cells, residual, error): the row's cells by column name, its
+    steady residual and, for a failed point, the error, in which case the
+    cells are its axis values alone. The time of the reported solve and of
+    the re-solve is added to ``seconds`` under ``steady_s`` and ``refine_s``."""
+    cells: dict[str, float] = dict(point)
     try:
         params = _resolve_params(spec, point)
-        roots_cols: dict[str, float] = {}
         if "eta_phi_roots" in spec.outputs:
             base = params.base if isinstance(params, DetectionParams) else params
-            roots = optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)
-            roots_cols = asdict(roots)
+            cells.update(asdict(optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)))
         solve_wanted = [o for o in spec.outputs if o in SCALAR_OUTPUTS]
         if not solve_wanted and spec.tau_grid is None:
-            return roots_cols, None, True, 0.0, None
+            return {**cells, "converged": True}, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
         scalars, series, residual = _timed(seconds, "steady_s", params, mech, cavity,
                                            check_outputs, spec.tau_grid)
         refined, _, _ = _timed(seconds, "refine_s", params, mech + CUTOFF_INCREMENT, cavity,
                                check_outputs)
-        converged = all(
-            _rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL for k in check_outputs
-        )
-        out = {k: v for k, v in scalars.items() if k in spec.outputs}
-        out.update(roots_cols)
-        return out, series, converged, residual, None
     except PhonoblockError as exc:
-        return {}, None, False, math.nan, f"{type(exc).__name__}: {exc}"
+        return dict(point), math.nan, f"{type(exc).__name__}: {exc}"
+    cells.update((k, v) for k, v in scalars.items() if k in spec.outputs)
+    cells.update((f"g2_tau_{k:03d}", v) for k, v in enumerate(series or ()))
+    cells["converged"] = all(
+        _rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL for k in check_outputs
+    )
+    return cells, residual, None
 
 
 def _rel_change(a: float, b: float) -> float:
@@ -234,21 +234,25 @@ def _rel_change(a: float, b: float) -> float:
     return abs(b - a) / max(abs(a), 1e-300)
 
 
-def _column_order(spec: SweepSpec) -> list[str]:
-    order = [name for name, _ in spec.axes]
+def _empty_columns(spec: SweepSpec, n: int) -> dict[str, np.ndarray]:
+    """The table's n-row columns in CSV order, ``converged`` last: NaN, and
+    False for ``converged``, until a row writes its cells."""
+    names = [name for name, _ in spec.axes]
     for out in spec.outputs:
         if out == "eta_phi_roots":
-            order += [f.name for f in fields(OptimalRoots)]
+            names += [f.name for f in fields(OptimalRoots)]
         elif out == "g2_tau":
-            order += [f"g2_tau_{k:03d}" for k in range(len(spec.tau_grid or ()))]
+            names += [f"g2_tau_{k:03d}" for k in range(len(spec.tau_grid))]
         else:
-            order.append(out)
-    order.append("converged")
-    return order
+            names.append(out)
+    columns = {name: np.full(n, np.nan) for name in names}
+    columns["converged"] = np.zeros(n, dtype=bool)
+    return columns
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Execute a sweep point by point; rows follow row-major axis order.
+    """Execute a sweep point by point; rows follow row-major axis order, and
+    each row writes its cells as soon as it is evaluated.
 
     Raises
     ------
@@ -257,48 +261,28 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     start = time.perf_counter()
     axis_names = [name for name, _ in spec.axes]
-    grid = list(itertools.product(*(vals for _, vals in spec.axes)))
-    points = [dict(zip(axis_names, combo)) for combo in grid]
+    points = [dict(zip(axis_names, combo))
+              for combo in itertools.product(*(vals for _, vals in spec.axes))]
     # cutoffs with their defaults applied, for every point and for the metadata
     space = model_space(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
     three_mode = isinstance(spec.fixed, DetectionParams)
     mech = space.factor("m").dim - 1
     cavity = space.factor("a").dim - 1 if three_mode else None
     seconds = {"steady_s": 0.0, "refine_s": 0.0}
-    # the bases of both cutoffs, whose column orders the debug line counts;
-    # built up front only when that line is logged
-    bases = [liouvillian_basis(model_space(spec.fixed, m, cavity))
-             for m in (mech, mech + CUTOFF_INCREMENT)] if log.isEnabledFor(logging.DEBUG) else []
-    known = sum(len(b.orders) for b in bases)
-    results = [_evaluate_point(spec, pt, mech, cavity, seconds) for pt in points]
-    log.debug("%d points: %.3fs reported solves, %.3fs re-solves, %d new column orders",
-              len(points), seconds["steady_s"], seconds["refine_s"],
-              sum(len(b.orders) for b in bases) - known)
-
-    order = _column_order(spec)
     n = len(points)
-    columns: dict[str, np.ndarray] = {
-        name: np.full(n, np.nan) for name in order if name != "converged"
-    }
-    columns["converged"] = np.zeros(n, dtype=bool)
-    for i, combo in enumerate(grid):
-        for name, value in zip(axis_names, combo):
-            columns[name][i] = value
-
+    columns = _empty_columns(spec, n)
     failures: list[tuple[int, str]] = []
     max_residual = 0.0
-    for i, (scalars, series, converged, residual, error) in enumerate(results):
+    for i, point in enumerate(points):
+        cells, residual, error = _evaluate_point(spec, point, mech, cavity, seconds)
+        for name, value in cells.items():
+            columns[name][i] = value
         if error is not None:
             failures.append((i, error))
-            continue
-        for key, value in scalars.items():
-            columns[key][i] = value
-        if series is not None:
-            for k, value in enumerate(series):
-                columns[f"g2_tau_{k:03d}"][i] = value
-        columns["converged"][i] = converged
-        if math.isfinite(residual):
+        elif math.isfinite(residual):
             max_residual = max(max_residual, residual)
+    log.debug("%d points: %.3fs reported solves, %.3fs re-solves",
+              n, seconds["steady_s"], seconds["refine_s"])
     if len(failures) == n:
         raise SweepError(
             f"all {n} grid points failed; first error: {failures[0][1]}"
@@ -326,7 +310,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         **seconds,
         "wall_time_s": time.perf_counter() - start,
     }
-    return SweepResult(columns=columns, column_order=order, metadata=metadata)
+    return SweepResult(columns=columns, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from phonoblock.solver import (
     steady_state,
     trace_preservation_residual,
 )
+from phonoblock.sweep import solve_point
 
 RNG = np.random.default_rng(20260214)
 
@@ -73,8 +74,7 @@ def _three_mode(params: DetectionParams, cavity_cutoff: int = 3, mech_cutoff: in
 
 
 def _g2(params: MqParams, mech_cutoff: int = 8) -> float:
-    space, _, rho = _two_mode(params, mech_cutoff)
-    return g2_zero(rho, lowering(space, "m"))
+    return solve_point(params, mech_cutoff, None, ("g2_zero",))[0]["g2_zero"]
 
 
 def _two_drive_params(delta_opt: float, branch: str, eps: float, n_th: float = 0.0,
@@ -155,10 +155,9 @@ def test_criterion_04_thermal_fragility_crossings():
 def test_criterion_05_two_drive_enhancement():
     results = {}
     for label, branch, dopt in (("plus", "+", 3.0), ("minus", "-", -3.0)):
-        params = _two_drive_params(dopt, branch, eps=0.2)
-        space, _, rho = _two_mode(params, mech_cutoff=12)
-        b = lowering(space, "m")
-        results[label] = (g2_zero(rho, b), mean_occupation(rho, b))
+        values, _, _ = solve_point(_two_drive_params(dopt, branch, eps=0.2), 12, None,
+                                   ("g2_zero", "n_b"))
+        results[label] = (values["g2_zero"], values["n_b"])
     ok = all(
         0.007 <= g2 <= 0.028 and n_b >= 0.1 for g2, n_b in results.values()
     )
@@ -197,14 +196,12 @@ def test_criterion_07_detection_equivalence():
         base = MqParams(delta=float(delta), j=3.0, eps=0.2,
                         omega_drv=omega, phi=phi, n_th=1e-3)
         det = DetectionParams(base=base, g_om=0.1, gamma_cav=10.0)
-        space3, _, rho3 = _three_mode(det)
-        g2_b3 = g2_zero(rho3, lowering(space3, "m"))
-        g2_a = g2_zero(rho3, lowering(space3, "a"))
+        values, _, _ = solve_point(det, 6, 3, ("g2_zero", "g2a_zero"))
+        g2_b3, g2_a = values["g2_zero"], values["g2a_zero"]
         rel_photon = abs(g2_a - g2_b3) / g2_b3
         if rel_photon > worst_photon:
             worst_photon, worst_photon_delta = rel_photon, float(delta)
-        space2, _, rho2 = _two_mode(base)
-        g2_b2 = g2_zero(rho2, lowering(space2, "m"))
+        g2_b2 = _g2(base)
         worst_cavity_backaction = max(
             worst_cavity_backaction, abs(g2_b3 - g2_b2) / g2_b2
         )

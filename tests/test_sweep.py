@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phonoblock import sweep
 from phonoblock.analytics import optimal_drive_roots
 from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SweepError
@@ -34,7 +35,7 @@ def test_grid_rows_in_row_major_order():
     assert result.n_rows == 9
     assert list(result.columns["delta"]) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
     assert list(result.columns["j"]) == [5, 6, 7, 5, 6, 7, 5, 6, 7]
-    assert result.column_order[-1] == "converged"
+    assert list(result.columns)[-1] == "converged"
 
 
 def test_single_point_reproduces_blockade_value():
@@ -71,7 +72,7 @@ def test_identical_specs_give_identical_columns():
     )
     a = run_sweep(spec)
     b = run_sweep(spec)
-    for name in a.column_order:
+    for name in a.columns:
         assert np.array_equal(a.columns[name], b.columns[name]), name
 
 
@@ -157,7 +158,7 @@ def test_g2_tau_output_columns():
     assert result.columns["g2_tau_000"][0] == pytest.approx(
         result.columns["g2_zero"][0], abs=1e-8
     )
-    assert {"g2_tau_000", "g2_tau_001", "g2_tau_002"} <= set(result.column_order)
+    assert {"g2_tau_000", "g2_tau_001", "g2_tau_002"} <= set(result.columns)
 
 
 def test_convergence_flag_detects_undertrunction():
@@ -174,9 +175,10 @@ def test_convergence_flag_detects_undertrunction():
 
 def test_metadata_contents(caplog):
     spec = SweepSpec(axes=(("delta", (0.0, 1.0)),), fixed=replace(WEAK, j=1.0))
-    with caplog.at_level(logging.DEBUG, logger="phonoblock.sweep"):
+    with caplog.at_level(logging.DEBUG, logger="phonoblock"):
         result = run_sweep(spec)
-    assert "new column orders" in caplog.text
+    [line] = [r.getMessage() for r in caplog.records if r.name == "phonoblock.sweep"]
+    assert line.startswith("2 points: ") and line.endswith("s re-solves")
     meta = result.metadata
     assert meta["rows"] == 2
     assert meta["model"] == "two_mode"
@@ -208,6 +210,39 @@ def test_tables_depend_on_neither_cache_state_nor_point_order():
     reversed_cold = by_point(tuple((name, values[::-1]) for name, values in axes))
     assert len(cold) == 4
     assert cold == warm == reversed_cold
+
+
+# the fixed params and cutoff of the cache-state test above, over the two
+# trace-row patterns of n_th = 0 and n_th > 0
+_TWO_PATTERNS = SweepSpec(axes=(("n_th", (0.0, 0.01)),),
+                          fixed=MqParams(j=3.0, eps=0.2, omega_drv=0.1, phi=0.3), mech_cutoff=5)
+
+
+def test_each_new_column_order_is_logged_once(caplog):
+    def new_orders() -> int:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="phonoblock"):
+            run_sweep(_TWO_PATTERNS)
+        return sum(r.name == "phonoblock.solver" and r.getMessage().startswith("new column order")
+                   for r in caplog.records)
+
+    liouvillian_basis.cache_clear()
+    assert new_orders() == 4  # 2 patterns x (cutoff 5, cutoff 7)
+    assert new_orders() == 0
+
+
+def test_no_basis_is_built_outside_the_timed_solves(monkeypatch, caplog):
+    cached = []
+
+    def spy(*args):
+        cached.append(liouvillian_basis.cache_info().currsize)
+        return solve_point(*args)
+
+    liouvillian_basis.cache_clear()
+    monkeypatch.setattr(sweep, "solve_point", spy)
+    with caplog.at_level(logging.DEBUG, logger="phonoblock"):
+        run_sweep(_TWO_PATTERNS)
+    assert cached[0] == 0 and len(cached) == 4
 
 
 def test_three_mode_sweep_point():
