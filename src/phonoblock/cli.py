@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,14 +55,6 @@ log = logging.getLogger("phonoblock")
 
 OUTDIR_ENV_VAR = "PHONOBLOCK_OUTDIR"
 DEFAULT_OUTDIR = "phonoblock_out"
-
-_TASK_KEYS = (
-    "axis1", "axis1_values", "axis1_range",
-    "axis2", "axis2_values", "axis2_range",
-    "outputs", "tau_max", "tau_points",
-    "mech_cutoff", "cavity_cutoff", "delta_opt", "root_branch",
-)
-_OUTPUT_KEYS = ("dir", "plot_script")
 
 
 @dataclass
@@ -116,23 +108,24 @@ def load_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    # section -> its allowed keys; [model] takes every field of the three-mode params
+    schema = {
+        "model": _config_keys(DetectionParams()),
+        "task": ("axis1", "axis1_values", "axis1_range", "axis2", "axis2_values", "axis2_range",
+                 "outputs", "tau_max", "tau_points",
+                 "mech_cutoff", "cavity_cutoff", "delta_opt", "root_branch"),
+        "output": ("dir", "plot_script"),
+    }
     for section in parser.sections():
-        if section not in ("model", "task", "output"):
+        if section not in schema:
             raise ConfigError(f"unknown config section [{section}]")
-
-    model_raw = dict(parser.items("model")) if parser.has_section("model") else {}
-    task_raw = dict(parser.items("task")) if parser.has_section("task") else {}
-    output_raw = dict(parser.items("output")) if parser.has_section("output") else {}
-    model_keys = _config_keys(DetectionParams())
-    for key in model_raw:
-        if key not in model_keys:
-            raise ConfigError(f"unknown key {key!r} in [model]")
-    for key in task_raw:
-        if key not in _TASK_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [task]")
-    for key in output_raw:
-        if key not in _OUTPUT_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [output]")
+    sections = {name: dict(parser.items(name)) if parser.has_section(name) else {}
+                for name in schema}
+    for section, entries in sections.items():
+        for key in entries:
+            if key not in schema[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+    model_raw, task_raw, output_raw = sections.values()
 
     given = {key: _parse("model", key, raw) for key, raw in model_raw.items()}
     # any readout key selects the three-mode model; unset keys keep their defaults
@@ -233,15 +226,20 @@ def _format_cell(value) -> str:
     return f"{v:.12e}"
 
 
+def _write_rows(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> Path:
+    """Write one table in the package CSV schema: the header line, then one
+    line of formatted cells per row."""
+    path = Path(path)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(value) for value in row) + "\n")
+    return path
+
+
 def write_csv(result: SweepResult, path: str | Path) -> Path:
     """Write a sweep table using the package CSV schema."""
-    path = Path(path)
-    columns = result.columns
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for i in range(result.n_rows):
-            fh.write(",".join(_format_cell(col[i]) for col in columns.values()) + "\n")
-    return path
+    return _write_rows(path, result.columns, zip(*result.columns.values()))
 
 
 def _json_default(obj):
@@ -305,25 +303,11 @@ def write_tau_csv(result: SweepResult, path: str | Path) -> Path | None:
     tau_grid = result.metadata.get("tau_grid")
     if not tau_grid:
         return None
-    path = Path(path)
     axes = [a["name"] for a in result.metadata["axes"]]
-    n_tau = len(tau_grid)
-    series_names = []
-    series = []
-    for i in range(result.n_rows):
-        label_parts = [f"{ax}_{result.columns[ax][i]:g}" for ax in axes]
-        series_names.append("g2__" + "__".join(label_parts))
-        series.append(
-            [result.columns[f"g2_tau_{k:03d}"][i] for k in range(n_tau)]
-        )
-    with open(path, "w") as fh:
-        fh.write(",".join(["tau"] + series_names) + "\n")
-        for k in range(n_tau):
-            cells = [_format_cell(tau_grid[k])] + [
-                _format_cell(col[k]) for col in series
-            ]
-            fh.write(",".join(cells) + "\n")
-    return path
+    labels = ["g2__" + "__".join(f"{ax}_{v:g}" for ax, v in zip(axes, point))
+              for point in zip(*(result.columns[ax] for ax in axes))]
+    rows = ([tau, *result.columns[f"g2_tau_{k:03d}"]] for k, tau in enumerate(tau_grid))
+    return _write_rows(path, ["tau"] + labels, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +330,9 @@ def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) ->
             if f.name != "base":
                 flag = "--" + f.name.replace("_", "-")
                 group.add_argument(flag, type=float, default=None, help=f.metadata["help"])
-    group.add_argument(
-        "--delta-opt",
-        type=float,
-        default=None,
-        help="derive the qubit drive from the interference optimum at this detuning",
-    )
-    group.add_argument(
-        "--branch", choices=["+", "-"], default="+", help="optimum root branch"
-    )
+    group.add_argument("--delta-opt", type=float, default=None,
+                       help="derive the qubit drive from the interference optimum at this detuning")
+    group.add_argument("--branch", choices=["+", "-"], default="+", help="optimum root branch")
     group.add_argument("--mech-cutoff", type=int, default=None, help="phonon truncation")
     if detection:
         group.add_argument(
@@ -420,11 +398,7 @@ def _cmd_g2tau(args) -> int:
     params, config = _merge_model(args)
     outdir = _resolve_outdir(args, config)
     _, series, _ = solve_point(params, args.mech_cutoff, None, (), tau_grid)
-    path = outdir / "g2tau.csv"
-    with open(path, "w") as fh:
-        fh.write("tau,g2\n")
-        for tau, value in zip(tau_grid, series):
-            fh.write(f"{_format_cell(tau)},{_format_cell(value)}\n")
+    path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(tau_grid, series))
     echo = _build_echo(params, {}, {"dir": DEFAULT_OUTDIR, "plot_script": True})
     write_metadata({"version": __version__, "config_echo": echo, "tau_max": args.tau_max,
                     "tau_points": args.tau_points}, outdir / "g2tau.meta.json")
@@ -434,28 +408,18 @@ def _cmd_g2tau(args) -> int:
 
 
 def _spec_from_config(config: RunConfig) -> SweepSpec:
-    task = config.task
+    """The sweep of a config: the [task] keys other than the axes and the tau
+    grid are ``SweepSpec`` fields of the same name, and keep its defaults."""
+    task = dict(config.task)
     if "axis1" not in task:
         raise ConfigError("[task] axis1 is required for a sweep")
-    axes = [task["axis1"]]
-    if "axis2" in task:
-        axes.append(task["axis2"])
-    outputs = task.get("outputs", ("g2_zero",))
+    axes = tuple(task.pop(name) for name in ("axis1", "axis2") if name in task)
+    tau_max = task.pop("tau_max", DEFAULT_TAU_MAX)
+    tau_points = task.pop("tau_points", DEFAULT_TAU_POINTS)
     tau_grid = None
-    if "g2_tau" in outputs:
-        tau_grid = _tau_grid(task.get("tau_max", DEFAULT_TAU_MAX),
-                             task.get("tau_points", DEFAULT_TAU_POINTS),
-                             "[task] tau_max", "[task] tau_points")
-    return SweepSpec(
-        axes=tuple(axes),
-        fixed=config.model,
-        outputs=tuple(outputs),
-        tau_grid=tau_grid,
-        mech_cutoff=task.get("mech_cutoff"),
-        cavity_cutoff=task.get("cavity_cutoff"),
-        delta_opt=task.get("delta_opt"),
-        root_branch=task.get("root_branch", "+"),
-    )
+    if "g2_tau" in task.get("outputs", ()):
+        tau_grid = _tau_grid(tau_max, tau_points, "[task] tau_max", "[task] tau_points")
+    return SweepSpec(axes=axes, fixed=config.model, tau_grid=tau_grid, **task)
 
 
 def _emit_sweep(result: SweepResult, outdir: Path, stem: str, plot_script: bool,
@@ -588,11 +552,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        level = logging.WARNING
-        if args.verbose == 1:
-            level = logging.INFO
-        elif args.verbose >= 2:
-            level = logging.DEBUG
+        level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
         logging.basicConfig(stream=sys.stderr, level=level,
                             format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)

@@ -302,11 +302,12 @@ def build_h_mq(p: MqParams | DetectionParams, space: HilbertSpace) -> Operator:
 
 
 def build_h_total(p: DetectionParams, space: HilbertSpace) -> Operator:
-    """Three-mode Hamiltonian with the linearized readout cavity, summed from
-    the three-mode term table as :func:`build_h_mq` sums the two-mode one.
+    """Alias of :func:`build_h_mq`, named for the three-mode model.
 
-    Adds delta a'a + (g_om a'b + conj(g_om) a b') to the two-mode terms. The
-    cavity detuning is tied to the shared rotating frame.
+    :func:`build_h_mq` sums whichever term table the params select; for
+    three-mode params that adds delta a'a + (g_om a'b + conj(g_om) a b') to
+    the two-mode terms. The cavity detuning is tied to the shared rotating
+    frame.
     """
     return build_h_mq(p, space)
 
@@ -330,12 +331,15 @@ def model_space(
     mech_cutoff: int | None = None,
     cavity_cutoff: int | None = None,
 ) -> HilbertSpace:
-    """Space of the params' model; a cutoff left as None takes its default."""
+    """Space of the params' model; a cutoff left as None takes its default, and
+    a ``cavity_cutoff`` for the two-mode model, which has no cavity, raises."""
     if isinstance(p, DetectionParams):
         return three_mode_space(
             DEFAULT_CAVITY_CUTOFF if cavity_cutoff is None else cavity_cutoff,
             DEFAULT_MECH_CUTOFF_THREE_MODE if mech_cutoff is None else mech_cutoff,
         )
+    if cavity_cutoff is not None:
+        raise ParameterError(f"cavity_cutoff = {cavity_cutoff} needs the three-mode model")
     return two_mode_space(DEFAULT_MECH_CUTOFF if mech_cutoff is None else mech_cutoff)
 
 

@@ -85,7 +85,8 @@ EXPM_NORM_STEP = 10.0
 MAX_SUBSTEPS = 100_000
 # Spaces whose Liouvillian basis, with its lowering operators and column
 # orders, stays cached: a sweep uses two (its cutoff and the cutoff + 2
-# re-solve), a three-mode detect three.
+# re-solve), and so does a three-mode detect (the readout space and the
+# two-mode reference at mech cutoff + 2).
 BASIS_CACHE_SIZE = 4
 
 
@@ -258,11 +259,6 @@ def trace_preservation_residual(liou: Liouvillian) -> float:
     return float(np.max(np.abs(liou.matrix.T @ tr)))
 
 
-def max_abs_entry(liou: Liouvillian) -> float:
-    data = liou.matrix.data
-    return float(np.max(np.abs(data))) if data.size else 0.0
-
-
 def _with_trace_row(
     m: sp.csr_matrix, d: int, weight: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,10 +347,11 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     """
     d = liou.dim
     n = d * d
-    scale = max_abs_entry(liou)
+    magnitudes = np.abs(liou.matrix.data)
+    scale = float(np.max(magnitudes)) if magnitudes.size else 0.0
     if scale == 0.0:
         raise SteadyStateError("generator is identically zero; no unique fixed point")
-    weight = float(np.mean(np.abs(liou.matrix.data)))
+    weight = float(np.mean(magnitudes))
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = weight
     data, indices, indptr = _with_trace_row(liou.matrix, d, weight)

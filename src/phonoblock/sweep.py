@@ -57,8 +57,9 @@ class SweepSpec:
 
     ``axes`` holds one or two (field name, values) pairs; names must be
     fields of the baseline parameter type, except for the derived pseudo-axis
-    ``"delta_opt"``. ``mech_cutoff`` and ``cavity_cutoff`` override the
-    default truncations; a cutoff below 2 is rejected on construction.
+    ``"delta_opt"``. Outputs must be distinct. ``mech_cutoff`` and
+    ``cavity_cutoff`` override the default truncations; a cutoff below 2, or
+    a ``cavity_cutoff`` with a two-mode baseline, is rejected on construction.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -95,6 +96,8 @@ class SweepSpec:
                 raise ParameterError(f"unknown output {out!r} (valid: {ALL_OUTPUTS})")
         if not self.outputs:
             raise ParameterError("at least one output is required")
+        if len(set(self.outputs)) != len(self.outputs):
+            raise ParameterError(f"outputs must be distinct, got {self.outputs}")
         if "g2a_zero" in self.outputs and not isinstance(self.fixed, DetectionParams):
             raise ParameterError("g2a_zero needs a DetectionParams baseline")
         grid = self.tau_grid

@@ -96,6 +96,20 @@ def test_steady_matches_one_row_sweep(capsys):
     assert f"g2_0 = {result.columns['g2_zero'][0]:.6g}\n" in out
 
 
+def test_steady_reduces_a_three_mode_config_to_its_base(tmp_path, capsys):
+    config_path = tmp_path / "three.cfg"
+    config_path.write_text(
+        "[model]\ndelta = 0.1\nj = 0.71\neps = 0.01\nn_th = 1e-4\ngamma_cav = 20\n"
+        "g_om_re = 0.3\n"
+    )
+    assert cli_main(["steady", "--config", str(config_path)]) == 0
+    from_config = capsys.readouterr().out
+    two_mode = ["--delta", "0.1", "--j", "0.71", "--eps", "0.01", "--n-th", "1e-4"]
+    assert cli_main(["steady", *two_mode]) == 0
+    assert from_config == capsys.readouterr().out
+    assert len(from_config.splitlines()) == 3
+
+
 def test_unknown_flag_is_config_error(capsys):
     assert cli_main(["steady", "--epsilon", "1"]) == 1
     assert "config error" in capsys.readouterr().err
@@ -249,6 +263,26 @@ def test_zero_cutoff_config_key_is_config_error(tmp_path, capsys, key):
     )
     assert cli_main(["sweep", "--config", str(config_path)]) == 1
     assert "cutoff" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "task_extra, message",
+    [
+        ("outputs = g2_zero, g2_zero\n", "distinct"),
+        # the two-mode model has no cavity to truncate
+        ("cavity_cutoff = 7\n", "cavity_cutoff"),
+    ],
+)
+def test_bad_two_mode_sweep_config_writes_nothing(tmp_path, capsys, task_extra, message):
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(
+        "[model]\nj = 1.0\neps = 0.01\n\n"
+        f"[task]\naxis1 = delta\naxis1_values = 0.0\n{task_extra}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 

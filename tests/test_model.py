@@ -321,6 +321,8 @@ def test_build_model_picks_space_and_default_cutoffs():
         (MqParams(), {"mech_cutoff": 0}),
         (DetectionParams(), {"mech_cutoff": 0}),
         (DetectionParams(), {"cavity_cutoff": 0}),
+        # the two-mode model has no cavity to truncate
+        (MqParams(), {"cavity_cutoff": 3}),
     ],
 )
 def test_build_model_rejects_zero_cutoff(params, cutoffs):

@@ -120,6 +120,10 @@ def test_spec_validation():
         SweepSpec(axes=(("g_om", (0.1,)),), fixed=WEAK)
     with pytest.raises(ParameterError):
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, root_branch="x")
+    with pytest.raises(ParameterError, match="distinct"):
+        SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, outputs=("g2_zero", "g2_zero"))
+    with pytest.raises(ParameterError, match="cavity_cutoff"):
+        SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, cavity_cutoff=5)
 
 
 def test_derived_drive_axis_matches_direct_settings():
