@@ -25,7 +25,10 @@ DEFAULT_CAVITY_CUTOFF = 3
 
 
 def wrap_phase(phi: float) -> float:
-    """Wrap an angle to the interval (-pi, pi]."""
+    """Wrap an angle to the interval (-pi, pi]; an angle already there is
+    returned unchanged, since the modular arithmetic can move it by an ulp."""
+    if -math.pi < phi <= math.pi:
+        return phi
     w = (phi + math.pi) % (2.0 * math.pi) - math.pi
     if w == -math.pi:
         w = math.pi

@@ -220,6 +220,15 @@ def test_phase_wrapping():
     assert -np.pi < MqParams(phi=-1.5 * np.pi).phi <= np.pi
 
 
+@pytest.mark.parametrize(
+    "phi", [0.1, -0.1, 1.0, np.pi, -2.5, -3.0, np.nextafter(-np.pi, 0.0)]
+)
+def test_wrap_phase_keeps_an_in_range_phase(phi):
+    # (phi + pi) % 2pi - pi would move 0.1 to 0.10000000000000009
+    assert wrap_phase(phi) == phi
+    assert MqParams(phi=phi).phi == phi
+
+
 def test_space_factor_requirements():
     with pytest.raises(ParameterError):
         build_h_mq(MqParams(), make_space([("m", 3)]))

@@ -37,3 +37,15 @@ def test_library_quick_tour_runs():
 def test_cli_example_exits_zero(command, capsys):
     assert cli_main(_cli_examples()[command]) == 0
     assert capsys.readouterr().out
+
+
+def test_config_format_block_loads_and_runs(tmp_path):
+    block = _block_after("### Config format", "ini")
+    # the documented block, with its first axis cut to three points
+    assert "axis1_range = -1:1:101\n" in block
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block.replace("axis1_range = -1:1:101\n", "axis1_range = -1:1:3\n"))
+    assert cli_main(["--outdir", str(tmp_path), "sweep", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "delta,j,g2_zero,n_b,converged"
+    assert len(lines) == 1 + 3 * 3

@@ -208,7 +208,9 @@ def test_basis_rejects_non_hermitian_generator():
 
 
 def _tolil_steady_state(liou):
-    """Row 0 replaced through a LIL copy, then the same solve as steady_state."""
+    """Row 0 replaced through a LIL copy, then the same solve as steady_state:
+    a fresh factorization in the symmetric minimum-degree order of A^T + A
+    with diagonal pivots preferred."""
     d = liou.dim
     weight = float(np.mean(np.abs(liou.matrix.data)))
     a = liou.matrix.tolil(copy=True)
@@ -217,7 +219,9 @@ def _tolil_steady_state(liou):
     a[0, :] = trace_row
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = weight
-    rho = unvec(splu(a.tocsc()).solve(rhs), d)
+    lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+              options={"SymmetricMode": True, "DiagPivotThresh": 0.01})
+    rho = unvec(lu.solve(rhs), d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -291,11 +295,12 @@ def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
         _, indices, indptr = solver._with_trace_row(liou.matrix, liou.dim, 1.0)
         patterns.add((indptr.tobytes(), indices.tobytes()))
     assert 3 <= len(patterns) < len(_PATTERN_RUN)
-    # one COLAMD factorization per pattern, kept by the space's basis; every
-    # other point reuses its order and SuperLU permutes no column a second time
+    # one fresh minimum-degree factorization per pattern, kept by the space's
+    # basis; every other point reuses its order and SuperLU permutes no column
+    # a second time
     assert set(liouvillian_basis(liou.space).orders) == patterns
     specs = [spec for spec, _ in factorizations]
-    assert specs.count("COLAMD") == len(patterns)
+    assert specs.count("MMD_AT_PLUS_A") == len(patterns)
     assert specs.count("NATURAL") == len(_PATTERN_RUN) - len(patterns)
     n = liou.dim ** 2
     for spec, perm_c in factorizations:
@@ -316,17 +321,17 @@ def test_evicted_basis_takes_its_column_orders_along(monkeypatch):
         _assert_owned_read_only(liou.orders)
     # the first space was solved twice on one order, then evicted by the last
     assert len(first.orders) == 1
-    assert [spec for spec, _ in factorizations].count("COLAMD") == len(spaces)
+    assert [spec for spec, _ in factorizations].count("MMD_AT_PLUS_A") == len(spaces)
     rebuilt = liouvillian_basis(spaces[0])
     assert rebuilt is not first and rebuilt.orders == {}
     liou = assemble(params, spaces[0])
     np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
-    assert factorizations[-1][0] == "COLAMD"
+    assert factorizations[-1][0] == "MMD_AT_PLUS_A"
     assert rebuilt.orders.keys() == first.orders.keys()
     _assert_owned_read_only(rebuilt.orders)
 
 
-def test_kron_built_liouvillian_factors_with_fresh_colamd(monkeypatch):
+def test_kron_built_liouvillian_factors_with_fresh_minimum_degree_order(monkeypatch):
     factorizations = _recording_splu(monkeypatch)
     params = MqParams(delta=1.0, j=2.0, eps=0.2, omega_drv=0.1, n_th=0.01)
     space = two_mode_space(4)
@@ -336,7 +341,7 @@ def test_kron_built_liouvillian_factors_with_fresh_colamd(monkeypatch):
         liou = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space))
         assert liou.orders == {}
         steady_state(liou)
-        assert factorizations[-1][0] == "COLAMD"
+        assert factorizations[-1][0] == "MMD_AT_PLUS_A"
     assert len(liou.orders) == 1
 
 

@@ -6,14 +6,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from phonoblock import sweep
 from phonoblock.analytics import optimal_drive_roots
 from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SweepError
-from phonoblock.hilbert import expectation, lowering
-from phonoblock.model import DetectionParams, MqParams, build_h_total, collapse_ops, model_space
-from phonoblock.solver import build_liouvillian, liouvillian_basis, steady_state
+from phonoblock.hilbert import DensityMatrix, expectation, lowering
+from phonoblock.model import (
+    DetectionParams,
+    MqParams,
+    build_h_mq,
+    build_h_total,
+    collapse_ops,
+    model_space,
+)
+from phonoblock.solver import build_liouvillian, liouvillian_basis, steady_state, unvec
 from phonoblock.sweep import (
     SweepSpec,
     figure_panels,
@@ -329,6 +337,62 @@ def test_solve_point_measures_the_named_modes():
 def test_solve_point_rejects_unknown_scalars():
     with pytest.raises(ParameterError, match="g2b_zero"):
         solve_point(WEAK, 4, None, ("g2b_zero",))
+
+
+def _preset_point(name: str, index: int) -> tuple[MqParams, int | None]:
+    """Params and mech cutoff of one point of a one-axis preset."""
+    spec = figure_preset(name)
+    [(axis, values)] = spec.axes
+    return sweep._resolve_params(spec, {axis: values[index]}), spec.mech_cutoff
+
+
+def _dense_refined_g2(params: MqParams, mech_cutoff: int | None) -> float:
+    """g2(0) of the Kronecker-built generator's steady state, by dense LU
+    with three steps of iterative refinement on a long-double residual."""
+    space = model_space(params, mech_cutoff, None)
+    d = space.total_dim
+    a = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space)).matrix.toarray()
+    a[0, :] = 0.0
+    a[0, :: d + 1] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    lu = scipy.linalg.lu_factor(a)
+    x = scipy.linalg.lu_solve(lu, b)
+    a_long = a.astype(np.clongdouble)
+    for _ in range(3):
+        residual = b - a_long @ x.astype(np.clongdouble)
+        x = x + scipy.linalg.lu_solve(lu, residual.astype(complex))
+    rho = unvec(x, d)
+    rho = 0.5 * (rho + rho.conj().T)
+    return g2_zero(DensityMatrix(space, rho / np.trace(rho).real), lowering(space, "m"))
+
+
+# the point of each preset where a COLAMD, partial-pivoting factorization
+# lost most: 7.9e-6, 1.4e-5 and 2.3e-7 relative in g2
+@pytest.mark.parametrize("preset, index", [("fig5d", 3), ("fig6b", 1), ("fig9c_minus", 0)])
+def test_g2_matches_a_refined_dense_solve(preset, index):
+    params, cutoff = _preset_point(preset, index)
+    values, _, _ = solve_point(params, cutoff, None, ("g2_zero",))
+    assert values["g2_zero"] == pytest.approx(_dense_refined_g2(params, cutoff), rel=1e-12)
+
+
+def test_fig9c_minus_g2_does_not_move_with_the_cutoff():
+    # a COLAMD, partial-pivoting factorization read 0.06956695975 at cutoff 8
+    # and 0.06956685219 at cutoff 16: LU error, not truncation
+    params, _ = _preset_point("fig9c_minus", 0)
+    g2_8, g2_16 = (solve_point(params, cutoff, None, ("g2_zero",))[0]["g2_zero"]
+                   for cutoff in (8, 16))
+    assert g2_16 == pytest.approx(g2_8, rel=1e-10, abs=0.0)
+
+
+def test_far_detuned_decoupled_mode_is_coherent():
+    # a driven, damped, decoupled mode relaxes to a coherent state, g2 = 1;
+    # at this fig2 corner (n_b ~ 5e-7) partial pivoting read 0.968 and
+    # flagged the row unconverged
+    spec = SweepSpec(axes=(("delta", (-14.0, 14.0)),), fixed=replace(WEAK, j=0.0))
+    result = run_sweep(spec)
+    np.testing.assert_allclose(result.columns["g2_zero"], 1.0, rtol=1e-12)
+    assert result.columns["converged"].all()
 
 
 def test_fig7_preset_shape():
