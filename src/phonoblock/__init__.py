@@ -73,8 +73,6 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     figure_panels,
-    figure_preset,
-    preset_names,
     run_sweep,
     solve_point,
 )

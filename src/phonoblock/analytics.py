@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError
-from .model import MqParams, wrap_phase
+from .model import MqParams, _require_finite, _require_nonneg, _require_positive, wrap_phase
 
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
@@ -51,12 +51,18 @@ class OptimalRoots:
         return eta * cmath.exp(-1j * phi)
 
 
+def _require_optimum_inputs(delta_opt: float, kappa: float, gamma: float) -> None:
+    _require_finite("delta_opt", delta_opt)
+    _require_positive("kappa", kappa)
+    _require_positive("gamma", gamma)
+
+
 def optimal_coefficients(
     delta_opt: float, j_opt: float, kappa: float, gamma: float
 ) -> tuple[complex, complex, complex]:
     """Coefficients (A0, A1, A2) of the interference-optimum quadratic."""
-    if kappa <= 0 or gamma <= 0:
-        raise ParameterError("kappa and gamma must be positive")
+    _require_finite("j_opt", j_opt)
+    _require_optimum_inputs(delta_opt, kappa, gamma)
     half_kg = 2.0 * delta_opt - 0.5j * (kappa + gamma)
     a2 = math.sqrt(2.0) * j_opt**2 + 0.0j
     a1 = -2.0 * math.sqrt(2.0) * j_opt * half_kg
@@ -75,10 +81,8 @@ def optimal_drive_roots(
     The '+' label uses the principal +sqrt, which makes eta_plus the larger
     modulus for positive delta_opt and the smaller one for negative.
     """
-    if j_opt <= 0:
-        raise ParameterError(f"j_opt must be > 0, got {j_opt}")
-    if kappa <= 0 or gamma <= 0:
-        raise ParameterError("kappa and gamma must be positive")
+    _require_positive("j_opt", j_opt)
+    _require_optimum_inputs(delta_opt, kappa, gamma)
     center = 2.0 * delta_opt / j_opt - 0.5j * (kappa + gamma) / j_opt
     radicand = (delta_opt / j_opt - 0.5j * gamma / j_opt) * center - 1.0
     root = cmath.sqrt(radicand)
@@ -104,8 +108,8 @@ def quadratic_residual(
 def no_qubit_drive_optimum(kappa: float, gamma: float) -> tuple[float, float]:
     """Optimal (detuning, coupling) for interference blockade without a
     qubit drive: (0, sqrt(kappa (kappa + gamma)) / 2)."""
-    if kappa <= 0 or gamma < 0:
-        raise ParameterError("kappa must be positive and gamma non-negative")
+    _require_positive("kappa", kappa)
+    _require_nonneg("gamma", gamma)
     return 0.0, 0.5 * math.sqrt(kappa * (kappa + gamma))
 
 

@@ -44,9 +44,9 @@ from .model import (
     DetectionParams,
     MqParams,
     flat_params,
-    model_space,
+    model_cutoffs,
+    resolve_params,
     with_flat_updates,
-    with_two_drive_optimum,
 )
 from .sweep import (DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS, SweepResult, SweepSpec,
                     figure_names, figure_panels, run_sweep, solve_point)
@@ -177,10 +177,12 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"root_branch must be '+' or '-', got {branch!r}")
         task["root_branch"] = branch
 
+    plot_script = output_raw.get("plot_script", "true")
+    if plot_script.lower() not in parser.BOOLEAN_STATES:
+        raise ConfigError(f"[output] plot_script: not a boolean: {plot_script!r}")
     output = {
         "dir": output_raw.get("dir", DEFAULT_OUTDIR),
-        "plot_script": output_raw.get("plot_script", "true").strip().lower()
-        in ("1", "true", "yes", "on"),
+        "plot_script": parser.BOOLEAN_STATES[plot_script.lower()],
     }
     echo = _build_echo(model, task_raw, output)
     return RunConfig(model=model, task=task, output=output, echo=echo)
@@ -350,10 +352,7 @@ def _merge_model(args, detection: bool = False):
     elif not detection and isinstance(params, DetectionParams):
         params = params.base
     flags = {k: v for k in flat_params(params) if (v := getattr(args, k)) is not None}
-    params = with_flat_updates(params, flags)
-    if args.delta_opt is not None:
-        params = with_two_drive_optimum(params, args.delta_opt, args.branch)
-    return params, config
+    return resolve_params(params, flags, args.delta_opt, args.branch), config
 
 
 def _resolve_outdir(args, config: RunConfig | None) -> Path:
@@ -397,11 +396,13 @@ def _cmd_g2tau(args) -> int:
     tau_grid = _tau_grid(args.tau_max, args.tau_points, "--tau-max", "--tau-points")
     params, config = _merge_model(args)
     outdir = _resolve_outdir(args, config)
-    _, series, _ = solve_point(params, args.mech_cutoff, None, (), tau_grid)
+    mech_cutoff, _ = model_cutoffs(params, args.mech_cutoff)
+    _, series, _ = solve_point(params, mech_cutoff, None, (), tau_grid)
     path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(tau_grid, series))
-    echo = _build_echo(params, {}, {"dir": DEFAULT_OUTDIR, "plot_script": True})
-    write_metadata({"version": __version__, "config_echo": echo, "tau_max": args.tau_max,
-                    "tau_points": args.tau_points}, outdir / "g2tau.meta.json")
+    echo = _build_echo(params, {}, {"dir": outdir, "plot_script": True})
+    write_metadata({"version": __version__, "config_echo": echo, "mech_cutoff": mech_cutoff,
+                    "tau_max": args.tau_max, "tau_points": args.tau_points},
+                   outdir / "g2tau.meta.json")
     print(f"g2_0 = {series[0]:.6g}")
     print(f"wrote {path}")
     return 0
@@ -461,17 +462,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
+    # every value is computed before the first line is printed
     delta0, j0 = no_qubit_drive_optimum(args.kappa, args.gamma)
-    print(f"Delta_opt = {delta0:.6g}")
-    print(f"J_opt = {j0:.6g}")
+    lines = [f"Delta_opt = {delta0:.6g}", f"J_opt = {j0:.6g}"]
     if args.delta_opt is not None:
         j_opt = args.j_opt if args.j_opt is not None else 3.0 * args.kappa
         roots = optimal_drive_roots(args.delta_opt, j_opt, args.kappa, args.gamma)
-        print(f"two-drive roots at delta_opt = {args.delta_opt:.6g}, j_opt = {j_opt:.6g}:")
-        print(f"eta_plus = {roots.eta_plus:.6g}")
-        print(f"phi_plus = {roots.phi_plus:.6g}")
-        print(f"eta_minus = {roots.eta_minus:.6g}")
-        print(f"phi_minus = {roots.phi_minus:.6g}")
+        lines.append(f"two-drive roots at delta_opt = {args.delta_opt:.6g}, j_opt = {j_opt:.6g}:")
+        lines += [f"{f.name} = {getattr(roots, f.name):.6g}" for f in fields(roots)]
+    print("\n".join(lines))
     return 0
 
 
@@ -486,7 +485,7 @@ def _cmd_detect(args) -> int:
     values, _, _ = solve_point(params, args.mech_cutoff, args.cavity_cutoff,
                                ("g2_zero", "g2a_zero", "n_b", "n_a"))
     # two-mode reference without the readout cavity, two Fock levels deeper
-    mech_cutoff = model_space(params, args.mech_cutoff, args.cavity_cutoff).factor("m").dim - 1
+    mech_cutoff, _ = model_cutoffs(params, args.mech_cutoff, args.cavity_cutoff)
     reference, _, _ = solve_point(params.base, mech_cutoff + 2, None, ("g2_zero",))
     g2_b, g2_a = values["g2_zero"], values["g2a_zero"]
     print(f"g2_b = {g2_b:.6g}")

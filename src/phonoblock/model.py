@@ -329,21 +329,30 @@ def collapse_ops(
     return [(rate, op) for rate, op in zip(rates, jumps) if rate > 0.0]
 
 
+def model_cutoffs(
+    p: MqParams | DetectionParams,
+    mech_cutoff: int | None = None,
+    cavity_cutoff: int | None = None,
+) -> tuple[int, int | None]:
+    """(mech, cavity) truncations of the params' model, cavity None for the
+    two-mode model; a cutoff left as None takes its default, and a
+    ``cavity_cutoff`` for the two-mode model, which has no cavity, raises."""
+    if isinstance(p, DetectionParams):
+        return (DEFAULT_MECH_CUTOFF_THREE_MODE if mech_cutoff is None else mech_cutoff,
+                DEFAULT_CAVITY_CUTOFF if cavity_cutoff is None else cavity_cutoff)
+    if cavity_cutoff is not None:
+        raise ParameterError(f"cavity_cutoff = {cavity_cutoff} needs the three-mode model")
+    return DEFAULT_MECH_CUTOFF if mech_cutoff is None else mech_cutoff, None
+
+
 def model_space(
     p: MqParams | DetectionParams,
     mech_cutoff: int | None = None,
     cavity_cutoff: int | None = None,
 ) -> HilbertSpace:
-    """Space of the params' model; a cutoff left as None takes its default, and
-    a ``cavity_cutoff`` for the two-mode model, which has no cavity, raises."""
-    if isinstance(p, DetectionParams):
-        return three_mode_space(
-            DEFAULT_CAVITY_CUTOFF if cavity_cutoff is None else cavity_cutoff,
-            DEFAULT_MECH_CUTOFF_THREE_MODE if mech_cutoff is None else mech_cutoff,
-        )
-    if cavity_cutoff is not None:
-        raise ParameterError(f"cavity_cutoff = {cavity_cutoff} needs the three-mode model")
-    return two_mode_space(DEFAULT_MECH_CUTOFF if mech_cutoff is None else mech_cutoff)
+    """Space of the params' model at the truncations of :func:`model_cutoffs`."""
+    mech, cavity = model_cutoffs(p, mech_cutoff, cavity_cutoff)
+    return two_mode_space(mech) if cavity is None else three_mode_space(cavity, mech)
 
 
 def dressed_spectrum(j: float, delta: float, n_max: int) -> list[tuple[int, float, float]]:
@@ -376,3 +385,15 @@ def with_two_drive_optimum(
         return replace(p, base=with_two_drive_optimum(p.base, delta_opt, branch))
     omega, phi = two_drive_settings(delta_opt, p.j, p.kappa, p.gamma, p.eps, branch)
     return replace(p, omega_drv=omega, phi=phi)
+
+
+def resolve_params(
+    p: MqParams | DetectionParams,
+    updates: Mapping[str, float | complex],
+    delta_opt: float | None = None,
+    branch: str = "+",
+) -> MqParams | DetectionParams:
+    """The params of one run or sweep point: the flat ``updates`` applied, then,
+    when ``delta_opt`` is set, the qubit drive of the interference optimum."""
+    p = with_flat_updates(p, updates)
+    return p if delta_opt is None else with_two_drive_optimum(p, delta_opt, branch)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Mapping, Sequence
@@ -36,9 +37,9 @@ from .model import (
     DetectionParams,
     MqParams,
     flat_params,
+    model_cutoffs,
     model_space,
-    with_flat_updates,
-    with_two_drive_optimum,
+    resolve_params,
 )
 from .solver import assemble, liouvillian_basis, steady_state, steady_state_residual
 
@@ -58,8 +59,9 @@ class SweepSpec:
     ``axes`` holds one or two (field name, values) pairs; names must be
     fields of the baseline parameter type, except for the derived pseudo-axis
     ``"delta_opt"``. Outputs must be distinct. ``mech_cutoff`` and
-    ``cavity_cutoff`` override the default truncations; a cutoff below 2, or
-    a ``cavity_cutoff`` with a two-mode baseline, is rejected on construction.
+    ``cavity_cutoff`` override the default truncations; a cutoff below 2, a
+    ``cavity_cutoff`` with a two-mode baseline, or a non-finite ``delta_opt``
+    is rejected on construction.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -110,6 +112,8 @@ class SweepSpec:
             raise ParameterError(f"root_branch must be '+' or '-', got {self.root_branch!r}")
         if self.delta_opt is not None and any(n == "delta_opt" for n, _ in axes):
             raise ParameterError("delta_opt given both as a field and as an axis")
+        if self.delta_opt is not None and not math.isfinite(self.delta_opt):
+            raise ParameterError(f"delta_opt must be finite, got {self.delta_opt}")
         model_space(self.fixed, self.mech_cutoff, self.cavity_cutoff)
 
     @property
@@ -132,17 +136,6 @@ class SweepResult:
     @property
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values())))
-
-
-def _resolve_params(
-    spec: SweepSpec, point: Mapping[str, float]
-) -> MqParams | DetectionParams:
-    updates = {name: value for name, value in point.items() if name != "delta_opt"}
-    params = with_flat_updates(spec.fixed, updates)
-    delta_opt = point.get("delta_opt", spec.delta_opt)
-    if delta_opt is not None:
-        params = with_two_drive_optimum(params, delta_opt, spec.root_branch)
-    return params
 
 
 # scalar name -> (observable, mode label). Observables are looked up by name
@@ -208,7 +201,9 @@ def _evaluate_point(
     the re-solve is added to ``seconds`` under ``steady_s`` and ``refine_s``."""
     cells: dict[str, float] = dict(point)
     try:
-        params = _resolve_params(spec, point)
+        updates = {name: value for name, value in point.items() if name != "delta_opt"}
+        params = resolve_params(spec.fixed, updates, point.get("delta_opt", spec.delta_opt),
+                                spec.root_branch)
         if "eta_phi_roots" in spec.outputs:
             base = params.base if isinstance(params, DetectionParams) else params
             cells.update(asdict(optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)))
@@ -267,10 +262,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     points = [dict(zip(axis_names, combo))
               for combo in itertools.product(*(vals for _, vals in spec.axes))]
     # cutoffs with their defaults applied, for every point and for the metadata
-    space = model_space(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
-    three_mode = isinstance(spec.fixed, DetectionParams)
-    mech = space.factor("m").dim - 1
-    cavity = space.factor("a").dim - 1 if three_mode else None
+    mech, cavity = model_cutoffs(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
     seconds = {"steady_s": 0.0, "refine_s": 0.0}
     n = len(points)
     columns = _empty_columns(spec, n)
@@ -293,7 +285,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     metadata = {
         "fixed_params": flat_params(spec.fixed),
-        "model": "three_mode" if three_mode else "two_mode",
+        "model": "two_mode" if cavity is None else "three_mode",
         "axes": [
             {"name": name, "n": len(vals), "min": min(vals), "max": max(vals)}
             for name, vals in spec.axes
@@ -532,40 +524,10 @@ def _presets() -> dict[str, SweepSpec]:
 
 _PRESETS = _presets()
 
-# Bare figure names map to a representative panel; the CLI figure command
-# runs every panel of a figure.
-_REPRESENTATIVE = {
-    "fig2": "fig2",
-    "fig3": "fig3b",
-    "fig4": "fig4b",
-    "fig5": "fig5c",
-    "fig6": "fig6b",
-    "fig7": "fig7",
-    "fig8": "fig8a",
-    "fig9": "fig9a_plus",
-    "fig10": "fig10b",
-    "fig11": "fig11b",
-}
-
-
-def preset_names() -> list[str]:
-    return sorted(_PRESETS)
-
 
 def figure_names() -> list[str]:
-    return sorted(_REPRESENTATIVE)
-
-
-def figure_preset(name: str) -> SweepSpec:
-    """Preset spec for a panel name, or the representative panel of a figure."""
-    key = name.strip().lower()
-    if key in _PRESETS:
-        return _PRESETS[key]
-    if key in _REPRESENTATIVE:
-        return _PRESETS[_REPRESENTATIVE[key]]
-    raise ParameterError(
-        f"unknown preset {name!r}; figures: {figure_names()}, panels: {preset_names()}"
-    )
+    """The figures of the panels: each panel name's ``fig<number>`` prefix, sorted."""
+    return sorted({re.match(r"fig\d+", name)[0] for name in _PRESETS})
 
 
 def figure_panels(name: str) -> dict[str, SweepSpec]:
@@ -579,7 +541,7 @@ def figure_panels(name: str) -> dict[str, SweepSpec]:
         return {key: _PRESETS[key]}
     panels = {k: v for k, v in sorted(_PRESETS.items())
               if k.startswith(key) and not k[len(key):len(key) + 1].isdigit()}
-    if not panels or not key.startswith(tuple(_REPRESENTATIVE)):
+    if not panels or not key.startswith(tuple(figure_names())):
         raise ParameterError(
             f"unknown figure {name!r}; choose from {figure_names()}, a panel name "
             "or a panel-name prefix such as fig9c"

@@ -37,6 +37,19 @@ def test_optimal_prints_two_drive_roots(capsys):
     assert _value(out, "phi_plus") == pytest.approx(0.2144, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--kappa", "nan"], ["--gamma", "inf"], ["--delta-opt", "nan"], ["--delta-opt", "inf"],
+     ["--delta-opt", "3", "--j-opt", "inf"]],
+)
+def test_optimal_rejects_non_finite_input(capsys, flags):
+    assert cli_main(["optimal", *flags]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "must be finite" in captured.err
+    # every value is computed before the first line is printed
+    assert captured.out == ""
+
+
 def test_thermal_helper(capsys):
     assert cli_main(["thermal", "--freq", "6e9", "--temp", "0.025"]) == 0
     n = _value(capsys.readouterr().out, "n_th")
@@ -87,13 +100,17 @@ def test_steady_unpopulated_mode_is_numerical_failure(capsys):
 
 
 def test_steady_matches_one_row_sweep(capsys):
-    assert cli_main(["steady", "--delta", "0.1", "--j", "0.71", "--eps", "0.01"]) == 0
-    out = capsys.readouterr().out
-    spec = SweepSpec(axes=(("delta", (0.1,)),), fixed=MqParams(j=0.71, eps=0.01),
-                     outputs=("g2_zero", "n_b"))
-    result = run_sweep(spec)
-    assert f"n_b = {result.columns['n_b'][0]:.6g}\n" in out
-    assert f"g2_0 = {result.columns['g2_zero'][0]:.6g}\n" in out
+    cases = [([], {}),
+             (["--delta-opt", "3", "--branch", "-"], {"delta_opt": 3.0, "root_branch": "-"})]
+    for flags, spec_fields in cases:
+        argv = ["steady", "--delta", "0.1", "--j", "0.71", "--eps", "0.01", *flags]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        spec = SweepSpec(axes=(("delta", (0.1,)),), fixed=MqParams(j=0.71, eps=0.01),
+                         outputs=("g2_zero", "n_b"), **spec_fields)
+        result = run_sweep(spec)
+        assert f"n_b = {result.columns['n_b'][0]:.6g}\n" in out
+        assert f"g2_0 = {result.columns['g2_zero'][0]:.6g}\n" in out
 
 
 def test_steady_reduces_a_three_mode_config_to_its_base(tmp_path, capsys):
@@ -149,6 +166,37 @@ def test_g2tau_csv(tmp_path, capsys):
     # 13 significant digits in scientific notation
     assert re.fullmatch(r"-?\d\.\d{12}e[+-]\d{2,3}", first[1])
     assert (tmp_path / "g2tau.meta.json").exists()
+
+
+@pytest.mark.parametrize("outdir_from", ["flag", "env", "config"])
+def test_g2tau_meta_reproduces_its_run(tmp_path, capsys, monkeypatch, outdir_from):
+    out = tmp_path / "a"
+    argv = ["g2tau", "--j", "0.71", "--eps", "0.01", "--mech-cutoff", "12",
+            "--tau-max", "1", "--tau-points", "3"]
+    if outdir_from == "flag":
+        argv = ["--outdir", str(out), *argv]
+    elif outdir_from == "env":
+        monkeypatch.setenv("PHONOBLOCK_OUTDIR", str(out))
+    else:
+        (tmp_path / "run.cfg").write_text(f"[output]\ndir = {out}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    meta = json.loads((out / "g2tau.meta.json").read_text())
+    assert meta["mech_cutoff"] == 12
+    assert meta["config_echo"]["output"]["dir"] == str(out)
+
+    # rerun from the recorded values alone, into another directory
+    monkeypatch.delenv("PHONOBLOCK_OUTDIR", raising=False)
+    echo = meta["config_echo"]
+    echo["output"]["dir"] = str(tmp_path / "b")
+    (tmp_path / "rerun.cfg").write_text(render_config(echo))
+    rerun = ["g2tau", "--config", str(tmp_path / "rerun.cfg"),
+             "--mech-cutoff", str(meta["mech_cutoff"]),
+             "--tau-max", repr(meta["tau_max"]), "--tau-points", str(meta["tau_points"])]
+    assert cli_main(rerun) == 0
+    capsys.readouterr()
+    assert (out / "g2tau.csv").read_bytes() == (tmp_path / "b" / "g2tau.csv").read_bytes()
 
 
 def test_detect_compares_photon_and_phonon(tmp_path, capsys):
@@ -272,6 +320,7 @@ def test_zero_cutoff_config_key_is_config_error(tmp_path, capsys, key):
         ("outputs = g2_zero, g2_zero\n", "distinct"),
         # the two-mode model has no cavity to truncate
         ("cavity_cutoff = 7\n", "cavity_cutoff"),
+        ("delta_opt = nan\n", "delta_opt must be finite"),
     ],
 )
 def test_bad_two_mode_sweep_config_writes_nothing(tmp_path, capsys, task_extra, message):
@@ -289,6 +338,28 @@ def test_bad_two_mode_sweep_config_writes_nothing(tmp_path, capsys, task_extra, 
 def test_unknown_figure_name(capsys):
     assert cli_main(["figure", "fig99"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_figure_no_plot_script_flag_writes_no_script(tmp_path, capsys):
+    assert cli_main(["--outdir", str(tmp_path), "figure", "fig7", "--no-plot-script"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "fig7.csv").exists()
+    assert not (tmp_path / "fig7.gp").exists()
+
+
+@pytest.mark.parametrize("value, code, script", [("false", 0, False), ("Off", 0, False),
+                                                  ("ture", 1, False), ("yes", 0, True)])
+def test_plot_script_key_takes_boolean_words_only(tmp_path, capsys, value, code, script):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        "[model]\nj = 0.71\neps = 0.01\n\n[task]\naxis1 = delta\naxis1_values = 0.0\n\n"
+        f"[output]\ndir = {tmp_path / 'out'}\nplot_script = {value}\n"
+    )
+    assert cli_main(["sweep", "--config", str(config_path)]) == code
+    if code:
+        assert "plot_script" in capsys.readouterr().err
+    assert (tmp_path / "out" / "sweep.csv").exists() == (code == 0)
+    assert (tmp_path / "out" / "sweep.gp").exists() == script
 
 
 def test_figure_sub_figure_prefix_runs_its_panels(tmp_path, capsys):

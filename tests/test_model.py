@@ -18,6 +18,7 @@ from phonoblock.model import (
     device_preset,
     dressed_spectrum,
     flat_params,
+    model_cutoffs,
     model_space,
     term_generators,
     three_mode_space,
@@ -337,3 +338,15 @@ def test_build_model_picks_space_and_default_cutoffs():
 def test_build_model_rejects_zero_cutoff(params, cutoffs):
     with pytest.raises(ParameterError, match="cutoff"):
         model_space(params, **cutoffs)
+
+
+def test_model_cutoffs_defaults_and_errors():
+    assert model_cutoffs(MqParams()) == (8, None)
+    assert model_cutoffs(MqParams(), mech_cutoff=12) == (12, None)
+    assert model_cutoffs(DetectionParams()) == (6, 3)
+    assert model_cutoffs(DetectionParams(), 4, 2) == (4, 2)
+    # the space of the params' model is built at exactly these truncations
+    space = model_space(DetectionParams(), cavity_cutoff=2)
+    assert [space.factor(label).dim - 1 for label in ("m", "a")] == [6, 2]
+    with pytest.raises(ParameterError, match="cavity_cutoff"):
+        model_cutoffs(MqParams(), cavity_cutoff=3)

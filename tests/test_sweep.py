@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,13 +21,13 @@ from phonoblock.model import (
     build_h_total,
     collapse_ops,
     model_space,
+    resolve_params,
 )
 from phonoblock.solver import build_liouvillian, liouvillian_basis, steady_state, unvec
 from phonoblock.sweep import (
     SweepSpec,
+    figure_names,
     figure_panels,
-    figure_preset,
-    preset_names,
     run_sweep,
     solve_point,
 )
@@ -132,6 +133,8 @@ def test_spec_validation():
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, outputs=("g2_zero", "g2_zero"))
     with pytest.raises(ParameterError, match="cavity_cutoff"):
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, cavity_cutoff=5)
+    with pytest.raises(ParameterError, match="delta_opt must be finite"):
+        SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, delta_opt=math.nan)
 
 
 def test_derived_drive_axis_matches_direct_settings():
@@ -274,14 +277,15 @@ def test_three_mode_sweep_point():
 
 
 def test_presets_all_constructible_and_figure_mapping():
-    names = preset_names()
-    assert "fig2" in names and "fig3b" in names and "fig11b" in names
-    spec = figure_preset("fig3")
-    assert spec is figure_preset("fig3b")
+    names = set(sweep._PRESETS)
+    assert {"fig2", "fig3b", "fig11b"} <= names
+    assert figure_names() == sorted({re.match(r"fig\d+", name)[0] for name in names})
+    # every panel is reached through its figure name
+    assert set().union(*(figure_panels(figure) for figure in figure_names())) == names
     panels = figure_panels("fig3")
     assert set(panels) == {"fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f"}
     with pytest.raises(ParameterError):
-        figure_preset("fig99")
+        figure_panels("fig99")
     with pytest.raises(ParameterError):
         figure_panels("nope")
 
@@ -341,9 +345,10 @@ def test_solve_point_rejects_unknown_scalars():
 
 def _preset_point(name: str, index: int) -> tuple[MqParams, int | None]:
     """Params and mech cutoff of one point of a one-axis preset."""
-    spec = figure_preset(name)
+    spec = figure_panels(name)[name]
     [(axis, values)] = spec.axes
-    return sweep._resolve_params(spec, {axis: values[index]}), spec.mech_cutoff
+    params = resolve_params(spec.fixed, {axis: values[index]}, spec.delta_opt, spec.root_branch)
+    return params, spec.mech_cutoff
 
 
 def _dense_refined_g2(params: MqParams, mech_cutoff: int | None) -> float:
@@ -396,7 +401,7 @@ def test_far_detuned_decoupled_mode_is_coherent():
 
 
 def test_fig7_preset_shape():
-    spec = figure_preset("fig7")
+    spec = figure_panels("fig7")["fig7"]
     assert spec.outputs == ("eta_phi_roots",)
     assert spec.axes[0][0] == "delta"
     assert spec.fixed.j == 3.0
@@ -406,7 +411,7 @@ def test_fig2_preset_symmetric_in_detuning():
     # thinned copy of the landscape preset: the zero-qubit-drive correlation
     # is even in the detuning
     spec = replace(
-        figure_preset("fig2"),
+        figure_panels("fig2")["fig2"],
         axes=(("delta", (-3.0, -1.0, 1.0, 3.0)), ("j", (0.71, 5.0))),
     )
     result = run_sweep(spec)
@@ -416,7 +421,7 @@ def test_fig2_preset_symmetric_in_detuning():
 
 
 def test_fig11_preset_parameters():
-    spec = figure_preset("fig11b")
+    spec = figure_panels("fig11b")["fig11b"]
     assert isinstance(spec.fixed, DetectionParams)
     assert spec.fixed.g_om == pytest.approx(0.1)
     assert spec.fixed.gamma_cav == pytest.approx(10.0)
