@@ -50,7 +50,6 @@ from .hilbert import (
 )
 from .model import (
     DetectionParams,
-    LabFrameParams,
     MqParams,
     build_h_mq,
     build_h_total,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -88,12 +88,15 @@ def optimal_drive_roots(
     root = cmath.sqrt(radicand)
     z_plus = center + root
     z_minus = center - root
-    return OptimalRoots(
+    roots = OptimalRoots(
         eta_plus=abs(z_plus),
         phi_plus=wrap_phase(-cmath.phase(z_plus)),
         eta_minus=abs(z_minus),
         phi_minus=wrap_phase(-cmath.phase(z_minus)),
     )
+    for f in fields(roots):  # finite inputs can still overflow
+        _require_finite(f.name, getattr(roots, f.name))
+    return roots
 
 
 def quadratic_residual(
@@ -110,7 +113,9 @@ def no_qubit_drive_optimum(kappa: float, gamma: float) -> tuple[float, float]:
     qubit drive: (0, sqrt(kappa (kappa + gamma)) / 2)."""
     _require_positive("kappa", kappa)
     _require_nonneg("gamma", gamma)
-    return 0.0, 0.5 * math.sqrt(kappa * (kappa + gamma))
+    j_opt = 0.5 * math.sqrt(kappa * (kappa + gamma))
+    _require_finite("J_opt", j_opt)  # finite inputs can still overflow
+    return 0.0, j_opt
 
 
 def two_drive_settings(

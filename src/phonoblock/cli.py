@@ -10,9 +10,11 @@ photon-phonon comparison). All physical inputs are in units of kappa except
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
 Config files are INI-style text with sections ``[model]``, ``[task]`` and
-``[output]`` and a strict key schema; unknown keys are rejected by name.
-Every run echoes its fully resolved configuration into the ``.meta.json``
-sidecar, and rerunning from that echo reproduces the output exactly.
+``[output]`` and a strict key schema; unknown keys are rejected by name. A
+point command reads the ``TASK_VALUES`` keys it has a flag for, the flag on
+top, and rejects any other ``[task]`` key. Every run echoes its resolved
+configuration into the ``.meta.json`` sidecar; rerunning from it reproduces
+the output exactly.
 
 CSV schema: one header line of column names, one row per grid point, decimal
 text with 13 significant digits, and the sentinel ``NA`` for failed points.
@@ -29,7 +31,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,12 +73,25 @@ class RunConfig:
     echo: dict
 
 
-def _parse(section: str, key: str, raw: str, kind: type = float) -> float | int:
+def _parse(section: str, key: str, raw: str, kind: Callable = float) -> float | int | str:
     try:
         return kind(raw)
     except ValueError as exc:
         noun = "a number" if kind is float else "an integer"
         raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from exc
+
+
+def _root_branch(raw: str) -> str:
+    if raw not in ("+", "-"):
+        raise ConfigError(f"root_branch must be '+' or '-', got {raw!r}")
+    return raw
+
+
+# The one-value [task] keys: key -> (parser, default), None for the model's own
+# default. Sweeps read each; a point command reads those it has a flag for.
+TASK_VALUES = {"tau_max": (float, DEFAULT_TAU_MAX), "tau_points": (int, DEFAULT_TAU_POINTS),
+               "mech_cutoff": (int, None), "cavity_cutoff": (int, None),
+               "delta_opt": (float, None), "root_branch": (_root_branch, "+")}
 
 
 def _config_keys(params: MqParams | DetectionParams) -> dict[str, float]:
@@ -112,8 +127,7 @@ def load_config(path: str | Path) -> RunConfig:
     schema = {
         "model": _config_keys(DetectionParams()),
         "task": ("axis1", "axis1_values", "axis1_range", "axis2", "axis2_values", "axis2_range",
-                 "outputs", "tau_max", "tau_points",
-                 "mech_cutoff", "cavity_cutoff", "delta_opt", "root_branch"),
+                 "outputs", *TASK_VALUES),
         "output": ("dir", "plot_script"),
     }
     for section in parser.sections():
@@ -167,15 +181,8 @@ def load_config(path: str | Path) -> RunConfig:
         task[f"axis{i}"] = (name.strip(), values)
     if "outputs" in task_raw:
         task["outputs"] = tuple(s.strip() for s in task_raw["outputs"].split(","))
-    for key, kind in (("tau_max", float), ("tau_points", int), ("mech_cutoff", int),
-                      ("cavity_cutoff", int), ("delta_opt", float)):
-        if key in task_raw:
-            task[key] = _parse("task", key, task_raw[key], kind)
-    if "root_branch" in task_raw:
-        branch = task_raw["root_branch"].strip()
-        if branch not in ("+", "-"):
-            raise ConfigError(f"root_branch must be '+' or '-', got {branch!r}")
-        task["root_branch"] = branch
+    for key, (kind, default) in TASK_VALUES.items():
+        task[key] = _parse("task", key, task_raw[key], kind) if key in task_raw else default
 
     plot_script = output_raw.get("plot_script", "true")
     if plot_script.lower() not in parser.BOOLEAN_STATES:
@@ -334,25 +341,32 @@ def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) ->
                 group.add_argument(flag, type=float, default=None, help=f.metadata["help"])
     group.add_argument("--delta-opt", type=float, default=None,
                        help="derive the qubit drive from the interference optimum at this detuning")
-    group.add_argument("--branch", choices=["+", "-"], default="+", help="optimum root branch")
+    group.add_argument("--branch", dest="root_branch", choices=["+", "-"],
+                       help="optimum root branch")
     group.add_argument("--mech-cutoff", type=int, default=None, help="phonon truncation")
     if detection:
         group.add_argument(
             "--cavity-cutoff", type=int, default=None, help="photon truncation"
         )
-    parser.add_argument("--config", default=None, help="config file supplying [model]")
+    parser.add_argument("--config", default=None,
+                        help="config file: [model] and these flags' [task] keys")
 
 
-def _merge_model(args, detection: bool = False):
-    """Defaults < config file < explicit flags."""
+def _point_inputs(args, detection: bool = False):
+    """Params, [task] values and config of a point command: defaults < config < flags."""
     config = load_config(args.config) if args.config else None
-    params = config.model if config is not None else MqParams()
+    given = config.task if config else {}
+    if unused := [key for key in (config.echo["task"] if config else ()) if not hasattr(args, key)]:
+        raise ConfigError(f"{args.command} has no option for [task] {', '.join(unused)}")
+    task = {key: given.get(key, default) if getattr(args, key) is None else getattr(args, key)
+            for key, (_, default) in TASK_VALUES.items() if hasattr(args, key)}
+    params = config.model if config else MqParams()
     if detection and isinstance(params, MqParams):
         params = DetectionParams(base=params)
     elif not detection and isinstance(params, DetectionParams):
         params = params.base
     flags = {k: v for k in flat_params(params) if (v := getattr(args, k)) is not None}
-    return resolve_params(params, flags, args.delta_opt, args.branch), config
+    return resolve_params(params, flags, task["delta_opt"], task["root_branch"]), task, config
 
 
 def _resolve_outdir(args, config: RunConfig | None) -> Path:
@@ -374,17 +388,18 @@ def _resolve_outdir(args, config: RunConfig | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _tau_grid(tau_max: float, tau_points: int, max_name: str, points_name: str) -> np.ndarray:
-    """linspace(0, tau_max, tau_points), checked first to be finite and strictly ascending."""
+def _tau_grid(task: dict) -> np.ndarray:
+    """linspace(0, tau_max, tau_points) of a task, checked first to be finite and ascending."""
+    tau_max, tau_points = task["tau_max"], task["tau_points"]
     if tau_points < 1 or not 0 <= tau_max < math.inf or (tau_max == 0 and tau_points > 1):
-        raise ConfigError(f"tau_grid needs {points_name} >= 1 and a finite {max_name} > 0 "
-                          f"(0 for one point), got {tau_points} and {tau_max}")
+        raise ConfigError(f"tau_grid needs tau_points (--tau-points) >= 1 and a finite tau_max "
+                          f"(--tau-max) > 0 (0 for one point), got {tau_points} and {tau_max}")
     return np.linspace(0.0, tau_max, tau_points)
 
 
 def _cmd_steady(args) -> int:
-    params, _ = _merge_model(args)
-    values, _, _ = solve_point(params, args.mech_cutoff, None,
+    params, task, _ = _point_inputs(args)
+    values, _, _ = solve_point(params, task["mech_cutoff"], None,
                                ("n_b", "g2_zero", "qubit_excitation"))
     print(f"n_b = {values['n_b']:.6g}")
     print(f"g2_0 = {values['g2_zero']:.6g}")
@@ -393,15 +408,17 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_g2tau(args) -> int:
-    tau_grid = _tau_grid(args.tau_max, args.tau_points, "--tau-max", "--tau-points")
-    params, config = _merge_model(args)
+    params, task, config = _point_inputs(args)
+    tau_grid = _tau_grid(task)
     outdir = _resolve_outdir(args, config)
-    mech_cutoff, _ = model_cutoffs(params, args.mech_cutoff)
+    mech_cutoff, _ = model_cutoffs(params, task["mech_cutoff"])
     _, series, _ = solve_point(params, mech_cutoff, None, (), tau_grid)
     path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(tau_grid, series))
-    echo = _build_echo(params, {}, {"dir": outdir, "plot_script": True})
-    write_metadata({"version": __version__, "config_echo": echo, "mech_cutoff": mech_cutoff,
-                    "tau_max": args.tau_max, "tau_points": args.tau_points},
+    # the echo alone reproduces the run: its [model] holds any derived drive
+    resolved = dict(mech_cutoff=mech_cutoff, tau_max=task["tau_max"], tau_points=task["tau_points"])
+    echo = _build_echo(params, {k: repr(v) for k, v in resolved.items()},
+                       {"dir": outdir, "plot_script": True})
+    write_metadata({"version": __version__, "config_echo": echo, **resolved},
                    outdir / "g2tau.meta.json")
     print(f"g2_0 = {series[0]:.6g}")
     print(f"wrote {path}")
@@ -410,17 +427,15 @@ def _cmd_g2tau(args) -> int:
 
 def _spec_from_config(config: RunConfig) -> SweepSpec:
     """The sweep of a config: the [task] keys other than the axes and the tau
-    grid are ``SweepSpec`` fields of the same name, and keep its defaults."""
-    task = dict(config.task)
+    grid are ``SweepSpec`` fields of the same name."""
+    task = config.task
     if "axis1" not in task:
         raise ConfigError("[task] axis1 is required for a sweep")
-    axes = tuple(task.pop(name) for name in ("axis1", "axis2") if name in task)
-    tau_max = task.pop("tau_max", DEFAULT_TAU_MAX)
-    tau_points = task.pop("tau_points", DEFAULT_TAU_POINTS)
-    tau_grid = None
-    if "g2_tau" in task.get("outputs", ()):
-        tau_grid = _tau_grid(tau_max, tau_points, "[task] tau_max", "[task] tau_points")
-    return SweepSpec(axes=axes, fixed=config.model, tau_grid=tau_grid, **task)
+    axes = tuple(task[name] for name in ("axis1", "axis2") if name in task)
+    tau_grid = _tau_grid(task) if "g2_tau" in task.get("outputs", ()) else None
+    spec_fields = {key: value for key, value in task.items()
+                   if key not in ("axis1", "axis2", "tau_max", "tau_points")}
+    return SweepSpec(axes=axes, fixed=config.model, tau_grid=tau_grid, **spec_fields)
 
 
 def _emit_sweep(result: SweepResult, outdir: Path, stem: str, plot_script: bool,
@@ -481,11 +496,11 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    params, _ = _merge_model(args, detection=True)
-    values, _, _ = solve_point(params, args.mech_cutoff, args.cavity_cutoff,
+    params, task, _ = _point_inputs(args, detection=True)
+    mech_cutoff, cavity_cutoff = model_cutoffs(params, task["mech_cutoff"], task["cavity_cutoff"])
+    values, _, _ = solve_point(params, mech_cutoff, cavity_cutoff,
                                ("g2_zero", "g2a_zero", "n_b", "n_a"))
     # two-mode reference without the readout cavity, two Fock levels deeper
-    mech_cutoff, _ = model_cutoffs(params, args.mech_cutoff, args.cavity_cutoff)
     reference, _, _ = solve_point(params.base, mech_cutoff + 2, None, ("g2_zero",))
     g2_b, g2_a = values["g2_zero"], values["g2a_zero"]
     print(f"g2_b = {g2_b:.6g}")
@@ -515,8 +530,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("g2tau", help="delayed correlation series to CSV")
     _add_model_args(p)
-    p.add_argument("--tau-max", type=float, default=DEFAULT_TAU_MAX)
-    p.add_argument("--tau-points", type=int, default=DEFAULT_TAU_POINTS)
+    p.add_argument("--tau-max", type=float)
+    p.add_argument("--tau-points", type=int)
     p.set_defaults(func=_cmd_g2tau)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
@@ -568,3 +583,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

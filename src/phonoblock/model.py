@@ -144,45 +144,13 @@ def with_flat_updates(
     return replace(p, base=replace(p.base, **base_updates), **readout_updates)
 
 
-@dataclass(frozen=True)
-class LabFrameParams:
-    """Laboratory-frame frequencies and temperature for thermal helpers.
+def device_preset() -> MqParams:
+    """Parameters of a demonstrated GHz NAMR-phase-qubit device, in units of the
+    qubit damping rate: a 6 GHz resonator resonant with the qubit, at 25 mK."""
+    from .analytics import thermal_occupation
 
-    Only used to derive thermal occupations and effective readout parameters;
-    the numerical core works in damping-rate units. Conversion to
-    :class:`MqParams` asserts the resonance condition.
-    """
-
-    omega_m: float  # mechanical frequency, Hz
-    omega_0: float  # qubit frequency, Hz
-    temperature: float  # K
-
-    def __post_init__(self) -> None:
-        _require_positive("omega_m", self.omega_m)
-        _require_positive("omega_0", self.omega_0)
-        _require_nonneg("temperature", self.temperature)
-
-    def thermal_occupation(self) -> float:
-        """Shared bath occupation at the (asserted) resonant frequency."""
-        from .analytics import thermal_occupation
-
-        if abs(self.omega_0 - self.omega_m) > 1e-9 * self.omega_m:
-            raise ParameterError(
-                "resonance omega_0 = omega_m required to define a shared n_th; "
-                f"got omega_0={self.omega_0}, omega_m={self.omega_m}"
-            )
-        return thermal_occupation(self.omega_m, self.temperature)
-
-
-def device_preset() -> tuple[LabFrameParams, MqParams]:
-    """Parameters of a demonstrated GHz NAMR-phase-qubit device.
-
-    Returns the lab-frame numbers (6 GHz resonator at 25 mK) and their
-    rotating-frame counterpart in units of the qubit damping rate.
-    """
-    lab = LabFrameParams(omega_m=6e9, omega_0=6e9, temperature=0.025)
     kappa_hz = 9e6
-    mq = MqParams(
+    return MqParams(
         delta=0.0,
         j=124e6 / kappa_hz,
         eps=0.01,
@@ -190,9 +158,8 @@ def device_preset() -> tuple[LabFrameParams, MqParams]:
         phi=0.0,
         kappa=1.0,
         gamma=26e6 / kappa_hz,
-        n_th=lab.thermal_occupation(),
+        n_th=thermal_occupation(6e9, 0.025),
     )
-    return lab, mq
 
 
 # Factor labels in Kronecker order; every builder requires exactly these.

@@ -1,16 +1,21 @@
 """CLI subcommands, config schema, CSV schema, and echo round-trips."""
 
+import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phonoblock.cli import cli_main, load_config, render_config
+import phonoblock
+from phonoblock.cli import TASK_VALUES, build_parser, cli_main, load_config, render_config
 from phonoblock.errors import ConfigError
-from phonoblock.model import MqParams, with_two_drive_optimum
+from phonoblock.model import DetectionParams, MqParams, flat_params, with_two_drive_optimum
 from phonoblock.sweep import SweepSpec, run_sweep, solve_point
 
 
@@ -40,7 +45,10 @@ def test_optimal_prints_two_drive_roots(capsys):
 @pytest.mark.parametrize(
     "flags",
     [["--kappa", "nan"], ["--gamma", "inf"], ["--delta-opt", "nan"], ["--delta-opt", "inf"],
-     ["--delta-opt", "3", "--j-opt", "inf"]],
+     ["--delta-opt", "3", "--j-opt", "inf"],
+     # finite inputs whose optimum or roots overflow
+     ["--kappa", "1e308", "--gamma", "1e308"], ["--delta-opt", "1e308", "--j-opt", "1e-300"],
+     ["--delta-opt", "1e200", "--j-opt", "1"]],
 )
 def test_optimal_rejects_non_finite_input(capsys, flags):
     assert cli_main(["optimal", *flags]) == 1
@@ -48,6 +56,16 @@ def test_optimal_rejects_non_finite_input(capsys, flags):
     assert "config error" in captured.err and "must be finite" in captured.err
     # every value is computed before the first line is printed
     assert captured.out == ""
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(phonoblock.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "phonoblock.cli", "optimal", "--kappa", "nan"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "must be finite" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_thermal_helper(capsys):
@@ -185,18 +203,22 @@ def test_g2tau_meta_reproduces_its_run(tmp_path, capsys, monkeypatch, outdir_fro
     meta = json.loads((out / "g2tau.meta.json").read_text())
     assert meta["mech_cutoff"] == 12
     assert meta["config_echo"]["output"]["dir"] == str(out)
+    assert meta["config_echo"]["task"] == {"mech_cutoff": "12", "tau_max": "1.0",
+                                           "tau_points": "3"}
 
-    # rerun from the recorded values alone, into another directory
+    # rerun from the echo alone, then from the echo and the recorded values as
+    # flags, each into another directory
     monkeypatch.delenv("PHONOBLOCK_OUTDIR", raising=False)
     echo = meta["config_echo"]
-    echo["output"]["dir"] = str(tmp_path / "b")
-    (tmp_path / "rerun.cfg").write_text(render_config(echo))
-    rerun = ["g2tau", "--config", str(tmp_path / "rerun.cfg"),
-             "--mech-cutoff", str(meta["mech_cutoff"]),
-             "--tau-max", repr(meta["tau_max"]), "--tau-points", str(meta["tau_points"])]
-    assert cli_main(rerun) == 0
-    capsys.readouterr()
-    assert (out / "g2tau.csv").read_bytes() == (tmp_path / "b" / "g2tau.csv").read_bytes()
+    for rerun_dir, flags in (("b", []), ("c", ["--mech-cutoff", str(meta["mech_cutoff"]),
+                                               "--tau-max", repr(meta["tau_max"]),
+                                               "--tau-points", str(meta["tau_points"])])):
+        echo["output"]["dir"] = str(tmp_path / rerun_dir)
+        (tmp_path / "rerun.cfg").write_text(render_config(echo))
+        assert cli_main(["g2tau", "--config", str(tmp_path / "rerun.cfg"), *flags]) == 0
+        capsys.readouterr()
+        assert (out / "g2tau.csv").read_bytes() == (
+            tmp_path / rerun_dir / "g2tau.csv").read_bytes()
 
 
 def test_detect_compares_photon_and_phonon(tmp_path, capsys):
@@ -321,6 +343,7 @@ def test_zero_cutoff_config_key_is_config_error(tmp_path, capsys, key):
         # the two-mode model has no cavity to truncate
         ("cavity_cutoff = 7\n", "cavity_cutoff"),
         ("delta_opt = nan\n", "delta_opt must be finite"),
+        ("root_branch = x\n", "root_branch must be '+' or '-', got 'x'"),
     ],
 )
 def test_bad_two_mode_sweep_config_writes_nothing(tmp_path, capsys, task_extra, message):
@@ -333,6 +356,27 @@ def test_bad_two_mode_sweep_config_writes_nothing(tmp_path, capsys, task_extra, 
     assert cli_main(["sweep", "--config", str(config_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "model_extra, task, message",
+    [
+        ("", "axis1 = delta\naxis1_range = 0:1\n", "axis1_range must be 'lo:hi:n'"),
+        ("", "axis1 = delta\naxis1_range = 0:1:0\n", "axis1_range point count must be >= 1"),
+        ("", "axis2 = delta\naxis2_values = 0.0\n", "[task] axis1 is required for a sweep"),
+        ("g_om_re = nan\n", "axis1 = delta\naxis1_values = 0.0\n", "g_om must be finite"),
+        ("", "axis1 = delta\naxis1_values = nan\n", "axis 'delta' contains non-finite values"),
+    ],
+)
+def test_bad_sweep_config_is_config_error(tmp_path, capsys, model_extra, task, message):
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(
+        f"[model]\nj = 1.0\neps = 0.01\n{model_extra}\n[task]\n{task}\n"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_figure_name(capsys):
@@ -402,7 +446,6 @@ def test_g2_tau_sweep_default_grid_and_tau_csv(tmp_path, capsys):
         assert [r[i + 1] for r in tau_rows] == [row[c] for c in tau_cols]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tau_max", ["nan", "inf", "-1"])
 def test_g2_tau_sweep_rejects_bad_tau_max(tmp_path, capsys, tau_max):
     config_path = _g2_tau_sweep_config(tmp_path, f"tau_max = {tau_max}\n")
@@ -411,7 +454,6 @@ def test_g2_tau_sweep_rejects_bad_tau_max(tmp_path, capsys, tau_max):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tau_points", ["0", "-3"])
 def test_g2_tau_sweep_rejects_bad_tau_points(tmp_path, capsys, tau_points):
     config_path = _g2_tau_sweep_config(tmp_path, f"tau_points = {tau_points}\n")
@@ -487,7 +529,6 @@ def test_load_config_axis_requires_one_source(tmp_path):
         load_config(path)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("axis_range", ["0:inf:3", "nan:1:3", "-1e308:1e308:3"])
 def test_load_config_axis_range_must_be_finite(tmp_path, axis_range):
     path = tmp_path / "bad.cfg"
@@ -605,22 +646,96 @@ def test_detect_precedence_flags_over_config_over_defaults(tmp_path, capsys):
     config_path = tmp_path / "detect.cfg"
     config_path.write_text(
         "[model]\ndelta = 3\nj = 3\neps = 0.2\nn_th = 1e-3\n"
-        "g_om_re = 0.2\ngamma_cav = 20\n"
+        "g_om_re = 0.2\ngamma_cav = 20\n\n"
+        "[task]\ndelta_opt = 3\nmech_cutoff = 3\ncavity_cutoff = 2\n"
     )
-    common = ["--delta-opt", "3", "--mech-cutoff", "3", "--cavity-cutoff", "2"]
 
     def detect(*argv):
-        assert cli_main(["detect", *argv, *common]) == 0
+        assert cli_main(["detect", *argv]) == 0
         return capsys.readouterr().out
 
     from_config = detect("--config", str(config_path), "--gamma-cav", "15")
     from_flags = detect(
         "--delta", "3", "--j", "3", "--eps", "0.2", "--n-th", "1e-3",
         "--g-om", "0.2", "--gamma-cav", "15",
+        "--delta-opt", "3", "--mech-cutoff", "3", "--cavity-cutoff", "2",
     )
-    # the config replaces every default it names; the flag replaces the config
+    # the config replaces every default it names, in [model] and in [task];
+    # the flag replaces the config
     assert from_config == from_flags
     assert detect("--config", str(config_path)) != from_config
+    assert detect("--config", str(config_path), "--gamma-cav", "15",
+                  "--mech-cutoff", "4") != from_config
+
+
+@pytest.mark.parametrize(
+    "command, model, task_flags, override",
+    [
+        ("steady", "j = 3\neps = 0.2\n",
+         {"mech_cutoff": "4", "delta_opt": "3", "root_branch": "-"}, ["--branch", "+"]),
+        ("g2tau", "j = 0.71\neps = 0.01\n",
+         {"mech_cutoff": "5", "tau_max": "1", "tau_points": "3"}, ["--tau-points", "4"]),
+        ("detect", "j = 3\neps = 0.2\nn_th = 1e-3\ngamma_cav = 10\n",
+         {"mech_cutoff": "3", "cavity_cutoff": "2", "delta_opt": "3"}, ["--cavity-cutoff", "3"]),
+    ],
+    ids=["steady", "g2tau", "detect"],
+)
+def test_point_command_reads_config_task_values_under_its_flags(
+    tmp_path, capsys, command, model, task_flags, override
+):
+    task = "".join(f"{key} = {value}\n" for key, value in task_flags.items())
+    (tmp_path / "task.cfg").write_text(f"[model]\n{model}\n[task]\n{task}")
+    (tmp_path / "model.cfg").write_text(f"[model]\n{model}")
+    flags = []
+    for key, value in task_flags.items():
+        flags += ["--branch" if key == "root_branch" else "--" + key.replace("_", "-"), value]
+
+    def run(name, config, *argv):
+        outdir = tmp_path / name
+        assert cli_main(["--outdir", str(outdir), command, "--config",
+                         str(tmp_path / config), *argv]) == 0
+        csv = outdir / "g2tau.csv"
+        return (capsys.readouterr().out.replace(str(outdir), "<dir>"),
+                csv.read_bytes() if csv.exists() else None)
+
+    from_config = run("a", "task.cfg")
+    assert from_config == run("b", "model.cfg", *flags)
+    overridden = run("c", "task.cfg", *override)
+    assert overridden == run("d", "model.cfg", *flags, *override)
+    assert overridden != from_config
+
+
+@pytest.mark.parametrize(
+    "command, task",
+    [
+        ("steady", "axis1 = delta\naxis1_values = 0.0\n"),
+        ("steady", "tau_max = 1\n"),
+        ("steady", "cavity_cutoff = 2\n"),
+        ("detect", "tau_points = 3\n"),
+        ("g2tau", "outputs = g2_zero\n"),
+    ],
+)
+def test_point_command_rejects_task_key_it_has_no_flag_for(tmp_path, capsys, command, task):
+    config_path = tmp_path / "point.cfg"
+    config_path.write_text(
+        f"[model]\nj = 0.71\neps = 0.01\n\n[task]\n{task}\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main([command, "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    key = task.split(" = ")[0]
+    assert f"config error: {command} has no option for [task] {key}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_point_command_options_are_model_fields_or_task_values():
+    # the dest of each point-command option names what it sets: a model field,
+    # a one-value [task] key, or the config file
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    schema = set(flat_params(DetectionParams())) | set(TASK_VALUES) | {"config"}
+    for command in ("steady", "g2tau", "detect"):
+        dests = {action.dest for action in sub.choices[command]._actions} - {"help"}
+        assert dests <= schema, command
 
 
 def test_csv_na_sentinel_for_failed_rows(tmp_path, capsys):

@@ -271,8 +271,7 @@ def test_three_mode_hamiltonian_contains_the_two_mode_terms():
 
 
 def test_device_preset_matches_reported_numbers():
-    lab, mq = device_preset()
-    assert lab.temperature == pytest.approx(0.025)
+    mq = device_preset()
     assert mq.j == pytest.approx(124 / 9, rel=1e-12)
     assert mq.gamma == pytest.approx(26 / 9, rel=1e-12)
     assert 0.9e-5 < mq.n_th < 1.1e-5
