@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Config files are INI-style text with sections ``[model]``, ``[task]`` and
 ``[output]`` and a strict key schema; unknown keys are rejected by name. A
 point command reads the ``TASK_VALUES`` keys it has a flag for, the flag on
-top, and rejects any other ``[task]`` key. Every run echoes its resolved
-configuration into the ``.meta.json`` sidecar; rerunning from it reproduces
-the output exactly.
+top, and rejects any other ``[task]`` key; a sweep rejects a key it does not
+use. The ``config_echo`` of a ``.meta.json`` sidecar holds the resolved run,
+and ``render_config`` makes of it a config that reproduces the table exactly.
 
 CSV schema: one header line of column names, one row per grid point, decimal
 text with 13 significant digits, and the sentinel ``NA`` for failed points.
@@ -61,16 +61,11 @@ DEFAULT_OUTDIR = "phonoblock_out"
 
 @dataclass
 class RunConfig:
-    """Validated configuration: model parameters, task options, output options.
-
-    ``echo`` carries the fully resolved key-value map (defaults applied) that
-    reproduces this configuration verbatim.
-    """
+    """Validated configuration: model parameters, the [task] keys given, output options."""
 
     model: MqParams | DetectionParams
     task: dict
     output: dict
-    echo: dict
 
 
 def _parse(section: str, key: str, raw: str, kind: Callable = float) -> float | int | str:
@@ -154,10 +149,12 @@ def load_config(path: str | Path) -> RunConfig:
     task: dict = {}
     for i in (1, 2):
         name = task_raw.get(f"axis{i}")
-        if name is None:
-            continue
         values_raw = task_raw.get(f"axis{i}_values")
         range_raw = task_raw.get(f"axis{i}_range")
+        if name is None:
+            if values_raw is not None or range_raw is not None:
+                raise ConfigError(f"[task] axis{i}_values or axis{i}_range needs axis{i}")
+            continue
         if (values_raw is None) == (range_raw is None):
             raise ConfigError(
                 f"axis{i} needs exactly one of axis{i}_values or axis{i}_range"
@@ -181,8 +178,8 @@ def load_config(path: str | Path) -> RunConfig:
         task[f"axis{i}"] = (name.strip(), values)
     if "outputs" in task_raw:
         task["outputs"] = tuple(s.strip() for s in task_raw["outputs"].split(","))
-    for key, (kind, default) in TASK_VALUES.items():
-        task[key] = _parse("task", key, task_raw[key], kind) if key in task_raw else default
+    task.update((key, _parse("task", key, task_raw[key], kind))
+                for key, (kind, _) in TASK_VALUES.items() if key in task_raw)
 
     plot_script = output_raw.get("plot_script", "true")
     if plot_script.lower() not in parser.BOOLEAN_STATES:
@@ -191,33 +188,24 @@ def load_config(path: str | Path) -> RunConfig:
         "dir": output_raw.get("dir", DEFAULT_OUTDIR),
         "plot_script": parser.BOOLEAN_STATES[plot_script.lower()],
     }
-    echo = _build_echo(model, task_raw, output)
-    return RunConfig(model=model, task=task, output=output, echo=echo)
+    return RunConfig(model=model, task=task, output=output)
 
 
-def _build_echo(
-    model: MqParams | DetectionParams, task_raw: dict, output: dict
-) -> dict:
+def _echo(model: MqParams | DetectionParams, task: dict, outdir: Path, plot_script: bool) -> dict:
+    """The ``config_echo`` of a run, from its resolved values: the model, the
+    ``[task]`` text and the directory the run wrote to."""
     return {
         "model": {key: repr(v) for key, v in _config_keys(model).items()},
-        "task": dict(task_raw),
-        "output": {
-            "dir": str(output["dir"]),
-            "plot_script": "true" if output["plot_script"] else "false",
-        },
+        "task": task,
+        "output": {"dir": str(outdir), "plot_script": "true" if plot_script else "false"},
     }
 
 
 def render_config(echo: dict) -> str:
     """Config-file text reproducing an echoed configuration."""
     lines = []
-    for section in ("model", "task", "output"):
-        entries = echo.get(section) or {}
-        if not entries:
-            continue
-        lines.append(f"[{section}]")
-        lines.extend(f"{key} = {value}" for key, value in entries.items())
-        lines.append("")
+    for section, entries in echo.items():
+        lines += [f"[{section}]", *(f"{key} = {value}" for key, value in entries.items()), ""]
     return "\n".join(lines)
 
 
@@ -356,7 +344,7 @@ def _point_inputs(args, detection: bool = False):
     """Params, [task] values and config of a point command: defaults < config < flags."""
     config = load_config(args.config) if args.config else None
     given = config.task if config else {}
-    if unused := [key for key in (config.echo["task"] if config else ()) if not hasattr(args, key)]:
+    if unused := [key for key in given if not hasattr(args, key)]:
         raise ConfigError(f"{args.command} has no option for [task] {', '.join(unused)}")
     task = {key: given.get(key, default) if getattr(args, key) is None else getattr(args, key)
             for key, (_, default) in TASK_VALUES.items() if hasattr(args, key)}
@@ -416,8 +404,7 @@ def _cmd_g2tau(args) -> int:
     path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(tau_grid, series))
     # the echo alone reproduces the run: its [model] holds any derived drive
     resolved = dict(mech_cutoff=mech_cutoff, tau_max=task["tau_max"], tau_points=task["tau_points"])
-    echo = _build_echo(params, {k: repr(v) for k, v in resolved.items()},
-                       {"dir": outdir, "plot_script": True})
+    echo = _echo(params, {k: repr(v) for k, v in resolved.items()}, outdir, True)
     write_metadata({"version": __version__, "config_echo": echo, **resolved},
                    outdir / "g2tau.meta.json")
     print(f"g2_0 = {series[0]:.6g}")
@@ -426,26 +413,51 @@ def _cmd_g2tau(args) -> int:
 
 
 def _spec_from_config(config: RunConfig) -> SweepSpec:
-    """The sweep of a config: the [task] keys other than the axes and the tau
-    grid are ``SweepSpec`` fields of the same name."""
-    task = config.task
-    if "axis1" not in task:
+    """The sweep of a config, the ``TASK_VALUES`` defaults under its [task]
+    keys, which name ``SweepSpec`` fields but for the axes and the tau grid. A
+    given key absent from the sweep's ``_spec_task`` is a config error."""
+    if "axis1" not in config.task:
         raise ConfigError("[task] axis1 is required for a sweep")
+    task = {key: default for key, (_, default) in TASK_VALUES.items()} | config.task
     axes = tuple(task[name] for name in ("axis1", "axis2") if name in task)
     tau_grid = _tau_grid(task) if "g2_tau" in task.get("outputs", ()) else None
     spec_fields = {key: value for key, value in task.items()
                    if key not in ("axis1", "axis2", "tau_max", "tau_points")}
-    return SweepSpec(axes=axes, fixed=config.model, tau_grid=tau_grid, **spec_fields)
+    spec = SweepSpec(axes=axes, fixed=config.model, tau_grid=tau_grid, **spec_fields)
+    if unused := [key for key in config.task if key not in _spec_task(spec)]:
+        raise ConfigError(f"sweep does not use [task] {', '.join(unused)}")
+    return spec
 
 
-def _emit_sweep(result: SweepResult, outdir: Path, stem: str, plot_script: bool,
-                echo: dict | None = None) -> None:
+def _spec_task(spec: SweepSpec) -> dict[str, str]:
+    """The [task] text that reproduces a sweep: each axis as a list of repr
+    floats, the cutoffs resolved, the tau grid (a linspace from 0, as configs
+    give it) only with ``g2_tau``, and ``root_branch`` only with an optimum."""
+    task = {}
+    for i, (name, values) in enumerate(spec.axes, start=1):
+        task[f"axis{i}"], task[f"axis{i}_values"] = name, ", ".join(map(repr, values))
+    task["outputs"] = ", ".join(spec.outputs)
+    mech, cavity = model_cutoffs(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
+    task["mech_cutoff"] = str(mech)
+    if cavity is not None:
+        task["cavity_cutoff"] = str(cavity)
+    if spec.tau_grid is not None:
+        task["tau_max"], task["tau_points"] = repr(spec.tau_grid[-1]), str(len(spec.tau_grid))
+    if spec.delta_opt is not None:
+        task["delta_opt"] = repr(spec.delta_opt)
+    if spec.delta_opt is not None or any(name == "delta_opt" for name, _ in spec.axes):
+        task["root_branch"] = spec.root_branch
+    return task
+
+
+def _write_sweep(spec: SweepSpec, outdir: Path, stem: str, plot_script: bool) -> None:
+    """Run a sweep and write its CSV, its sidecar with the echo that
+    reproduces it, any tau CSV and, if asked, its plot script."""
+    result = run_sweep(spec)
     csv_path = write_csv(result, outdir / f"{stem}.csv")
-    metadata = dict(result.metadata)
-    metadata["version"] = __version__
-    if echo is not None:
-        metadata["config_echo"] = echo
-    write_metadata(metadata, outdir / f"{stem}.meta.json")
+    write_metadata({**result.metadata, "version": __version__,
+                    "config_echo": _echo(spec.fixed, _spec_task(spec), outdir, plot_script)},
+                   outdir / f"{stem}.meta.json")
     write_tau_csv(result, outdir / f"{stem}_tau.csv")
     if plot_script:
         write_plot_script(result, csv_path.name, outdir / f"{stem}.gp")
@@ -460,9 +472,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep requires --config")
     config = load_config(args.config)
     spec = _spec_from_config(config)
-    outdir = _resolve_outdir(args, config)
-    result = run_sweep(spec)
-    _emit_sweep(result, outdir, "sweep", config.output["plot_script"], config.echo)
+    _write_sweep(spec, _resolve_outdir(args, config), "sweep", config.output["plot_script"])
     return 0
 
 
@@ -471,8 +481,7 @@ def _cmd_figure(args) -> int:
     outdir = _resolve_outdir(args, None)
     for name, spec in panels.items():
         log.info("running preset %s (%d points)", name, spec.n_points)
-        result = run_sweep(spec)
-        _emit_sweep(result, outdir, name, not args.no_plot_script)
+        _write_sweep(spec, outdir, name, not args.no_plot_script)
     return 0
 
 

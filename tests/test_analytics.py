@@ -16,7 +16,7 @@ from phonoblock.analytics import (
     two_drive_settings,
 )
 from phonoblock.correlations import g2_zero
-from phonoblock.errors import ParameterError
+from phonoblock.errors import ParameterError, SingularSystemError
 from phonoblock.hilbert import lowering
 from phonoblock.model import MqParams, build_h_mq, collapse_ops, two_mode_space
 from phonoblock.solver import build_liouvillian, steady_state
@@ -126,6 +126,13 @@ def test_weak_drive_amplitude_vanishes_at_optima():
         MqParams(delta=3.0, j=3.0, eps=0.005, omega_drv=omega, phi=phi)
     )
     assert abs(amps.c2g) < 1e-12
+
+
+def test_weak_drive_amplitudes_raise_on_a_singular_system():
+    # at zero detuning and coupling the single-excitation determinant is
+    # -kappa * gamma / 4, which underflows for rates of 1e-160
+    with pytest.raises(SingularSystemError, match="single-excitation system is singular"):
+        perturbative_amplitudes(MqParams(kappa=1e-160, gamma=1e-160, eps=0.01))
 
 
 def test_weak_drive_estimate_against_full_solver():

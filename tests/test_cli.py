@@ -7,22 +7,31 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phonoblock
-from phonoblock.cli import TASK_VALUES, build_parser, cli_main, load_config, render_config
+from phonoblock.cli import (TASK_VALUES, _echo, _spec_from_config, _spec_task, build_parser,
+                            cli_main, load_config, render_config)
 from phonoblock.errors import ConfigError
-from phonoblock.model import DetectionParams, MqParams, flat_params, with_two_drive_optimum
-from phonoblock.sweep import SweepSpec, run_sweep, solve_point
+from phonoblock.model import (DetectionParams, MqParams, flat_params, model_cutoffs,
+                              with_two_drive_optimum)
+from phonoblock.sweep import (SweepSpec, figure_names, figure_panels, run_sweep,
+                              solve_point)
 
 
 def _value(output: str, key: str) -> float:
     match = re.search(rf"^{key} = (\S+)$", output, re.MULTILINE)
     assert match, f"{key!r} not found in output:\n{output}"
     return float(match.group(1))
+
+
+def _with_resolved_cutoffs(spec: SweepSpec) -> SweepSpec:
+    mech, cavity = model_cutoffs(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
+    return replace(spec, mech_cutoff=mech, cavity_cutoff=cavity)
 
 
 def test_optimal_prints_no_drive_optimum(capsys):
@@ -269,8 +278,49 @@ def test_figure_fig7_outputs(tmp_path):
         assert cell == "NA" or math.isfinite(float(cell))
     meta = json.loads(meta_path.read_text())
     assert meta["rows"] == len(lines) - 1
-    assert "config_echo" not in meta  # presets carry no user config
+    # the echo is the preset as a sweep config, its cutoffs resolved
+    (tmp_path / "echo.cfg").write_text(render_config(meta["config_echo"]))
+    assert _spec_from_config(load_config(tmp_path / "echo.cfg")) == _with_resolved_cutoffs(
+        figure_panels("fig7")["fig7"])
     assert "plot" in gp_path.read_text()
+
+
+@pytest.mark.parametrize("panel", [p for name in figure_names() for p in figure_panels(name)])
+def test_preset_echo_loads_as_its_preset(tmp_path, panel):
+    # no solve: the echo of every panel, rendered and loaded, gives back the
+    # panel's spec with its cutoffs resolved
+    spec = figure_panels(panel)[panel]
+    (tmp_path / "echo.cfg").write_text(render_config(_echo(spec.fixed, _spec_task(spec),
+                                                           tmp_path, True)))
+    assert _spec_from_config(load_config(tmp_path / "echo.cfg")) == _with_resolved_cutoffs(spec)
+
+
+@pytest.mark.parametrize("panel", ["fig7", "fig9c_plus"])
+def test_figure_echo_reruns_as_the_same_sweep(tmp_path, capsys, panel):
+    # each sidecar's echo names the directory its table went to after --outdir
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli_main(["--outdir", str(a), "figure", panel]) == 0
+    figure_meta = json.loads((a / f"{panel}.meta.json").read_text())
+    assert figure_meta["config_echo"]["output"]["dir"] == str(a)
+    (tmp_path / "echo.cfg").write_text(render_config(figure_meta["config_echo"]))
+    assert cli_main(["--outdir", str(b), "sweep", "--config", str(tmp_path / "echo.cfg")]) == 0
+    capsys.readouterr()
+    sweep_meta = json.loads((b / "sweep.meta.json").read_text())
+    assert sweep_meta["config_echo"]["output"]["dir"] == str(b)
+
+    def untimed(meta):
+        return {key: value for key, value in meta.items()
+                if key not in ("config_echo", "steady_s", "refine_s", "wall_time_s")}
+
+    assert untimed(sweep_meta) == untimed(figure_meta)
+    assert (a / f"{panel}_tau.csv").exists() == (panel == "fig9c_plus")
+    for suffix in (".csv", "_tau.csv", ".gp"):
+        figure_file, sweep_file = a / f"{panel}{suffix}", b / f"sweep{suffix}"
+        assert sweep_file.exists() == figure_file.exists()
+        if figure_file.exists():
+            # the plot script names the CSV next to it
+            assert sweep_file.read_bytes() == figure_file.read_bytes().replace(
+                f"{panel}.csv".encode(), b"sweep.csv")
 
 
 def test_figure_fig3b_minimum(tmp_path):
@@ -344,6 +394,10 @@ def test_zero_cutoff_config_key_is_config_error(tmp_path, capsys, key):
         ("cavity_cutoff = 7\n", "cavity_cutoff"),
         ("delta_opt = nan\n", "delta_opt must be finite"),
         ("root_branch = x\n", "root_branch must be '+' or '-', got 'x'"),
+        # keys this sweep does not use: a tau grid without g2_tau, a branch without an optimum
+        ("tau_max = 5\n", "sweep does not use [task] tau_max"),
+        ("tau_points = 3\n", "sweep does not use [task] tau_points"),
+        ("root_branch = -\n", "sweep does not use [task] root_branch"),
     ],
 )
 def test_bad_two_mode_sweep_config_writes_nothing(tmp_path, capsys, task_extra, message):
@@ -377,6 +431,32 @@ def test_bad_sweep_config_is_config_error(tmp_path, capsys, model_extra, task, m
     assert cli_main(["sweep", "--config", str(config_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "steady"])
+def test_axis_values_without_their_axis_is_config_error(tmp_path, capsys, command):
+    config_path = tmp_path / "axes.cfg"
+    config_path.write_text(
+        "[model]\nj = 0.71\neps = 0.01\n\n[task]\naxis1 = delta\naxis1_range = -0.1:0.1:3\n"
+        f"axis2_values = 1, 2\n\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main([command, "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert "config error: [task] axis2_values or axis2_range needs axis2" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_takes_root_branch_with_a_delta_opt_axis(tmp_path, capsys):
+    config_path = tmp_path / "axis.cfg"
+    config_path.write_text(
+        "[model]\nj = 3.0\neps = 0.2\n\n[task]\naxis1 = delta_opt\naxis1_values = 3.0\n"
+        f"root_branch = -\nmech_cutoff = 3\n\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(config_path)]) == 0
+    capsys.readouterr()
+    meta = json.loads((tmp_path / "out" / "sweep.meta.json").read_text())
+    assert meta["root_branch"] == meta["config_echo"]["task"]["root_branch"] == "-"
 
 
 def test_unknown_figure_name(capsys):
@@ -470,7 +550,7 @@ def test_load_config_minimal_defaults(tmp_path):
     assert config.model.gamma == 1.0
     assert config.model.eps == 0.0
     assert config.output["dir"] == "phonoblock_out"
-    assert config.echo["model"]["kappa"] == "1.0"
+    assert config.task == {}  # defaults are applied by the command that reads the config
 
 
 def test_load_config_unknown_key_named(tmp_path):
