@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Config files are INI-style text with sections ``[model]``, ``[task]`` and
 ``[output]`` and a strict key schema; unknown keys are rejected by name. A
 point command reads the ``TASK_VALUES`` keys it has a flag for, the flag on
-top, and rejects any other ``[task]`` key; a sweep rejects a key it does not
-use. The ``config_echo`` of a ``.meta.json`` sidecar holds the resolved run,
+top, and rejects any other ``[task]`` key; a sweep sets the ``SweepSpec``
+field of each key and rejects one that the spec resolves to ``None``, as
+unused. The ``config_echo`` of a ``.meta.json`` sidecar holds the resolved run,
 and ``render_config`` makes of it a config that reproduces the table exactly.
 
 CSV schema: one header line of column names, one row per grid point, decimal
@@ -50,7 +51,7 @@ from .model import (
     resolve_params,
     with_flat_updates,
 )
-from .sweep import (DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS, SweepResult, SweepSpec,
+from .sweep import (DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS, SweepResult, SweepSpec, delay_grid,
                     figure_names, figure_panels, run_sweep, solve_point)
 
 log = logging.getLogger("phonoblock")
@@ -82,10 +83,11 @@ def _root_branch(raw: str) -> str:
     return raw
 
 
-# The one-value [task] keys: key -> (parser, default), None for the model's own
-# default. Sweeps read each; a point command reads those it has a flag for.
-TASK_VALUES = {"tau_max": (float, DEFAULT_TAU_MAX), "tau_points": (int, DEFAULT_TAU_POINTS),
-               "mech_cutoff": (int, None), "cavity_cutoff": (int, None),
+# The one-value [task] keys, named and ordered as the SweepSpec fields they set:
+# key -> (parser, point-command default), None for the model's own default. A
+# sweep's spec resolves its own; a point command reads those it has a flag for.
+TASK_VALUES = {"mech_cutoff": (int, None), "cavity_cutoff": (int, None),
+               "tau_max": (float, DEFAULT_TAU_MAX), "tau_points": (int, DEFAULT_TAU_POINTS),
                "delta_opt": (float, None), "root_branch": (_root_branch, "+")}
 
 
@@ -259,8 +261,10 @@ def write_metadata(metadata: dict, path: str | Path) -> Path:
     return path
 
 
-def write_plot_script(result: SweepResult, csv_name: str, path: str | Path) -> Path:
-    """Plain-text gnuplot script for the CSV emitted next to it."""
+def write_plot_script(result: SweepResult, csv_name: str, path: str | Path,
+                      tau_csv_name: str | None = None) -> Path:
+    """Plain-text gnuplot script for the CSV emitted next to it. A table whose
+    only output is g2(tau) has its series plotted from its tau CSV instead."""
     path = Path(path)
     axes = [a["name"] for a in result.metadata["axes"]]
     data_cols = [
@@ -274,7 +278,11 @@ def write_plot_script(result: SweepResult, csv_name: str, path: str | Path) -> P
         "set key autotitle columnhead",
         "set datafile missing 'NA'",
     ]
-    if len(axes) == 1:
+    if not data_cols and tau_csv_name is not None:
+        lines.append("set xlabel 'tau'")
+        plots = [f"'{tau_csv_name}' using 1:{k + 2} with lines" for k in range(result.n_rows)]
+        lines.append("plot " + ", \\\n     ".join(plots))
+    elif len(axes) == 1:
         lines.append(f"set xlabel '{axes[0]}'")
         plots = [f"'{csv_name}' using 1:{idx} with lines" for idx, _ in data_cols]
         if plots:
@@ -301,7 +309,7 @@ def write_tau_csv(result: SweepResult, path: str | Path) -> Path | None:
     if not tau_grid:
         return None
     axes = [a["name"] for a in result.metadata["axes"]]
-    labels = ["g2__" + "__".join(f"{ax}_{v:g}" for ax, v in zip(axes, point))
+    labels = ["g2__" + "__".join(f"{ax}_{v:.13g}" for ax, v in zip(axes, point))
               for point in zip(*(result.columns[ax] for ax in axes))]
     rows = ([tau, *result.columns[f"g2_tau_{k:03d}"]] for k, tau in enumerate(tau_grid))
     return _write_rows(path, ["tau"] + labels, rows)
@@ -376,15 +384,6 @@ def _resolve_outdir(args, config: RunConfig | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _tau_grid(task: dict) -> np.ndarray:
-    """linspace(0, tau_max, tau_points) of a task, checked first to be finite and ascending."""
-    tau_max, tau_points = task["tau_max"], task["tau_points"]
-    if tau_points < 1 or not 0 <= tau_max < math.inf or (tau_max == 0 and tau_points > 1):
-        raise ConfigError(f"tau_grid needs tau_points (--tau-points) >= 1 and a finite tau_max "
-                          f"(--tau-max) > 0 (0 for one point), got {tau_points} and {tau_max}")
-    return np.linspace(0.0, tau_max, tau_points)
-
-
 def _cmd_steady(args) -> int:
     params, task, _ = _point_inputs(args)
     values, _, _ = solve_point(params, task["mech_cutoff"], None,
@@ -397,7 +396,7 @@ def _cmd_steady(args) -> int:
 
 def _cmd_g2tau(args) -> int:
     params, task, config = _point_inputs(args)
-    tau_grid = _tau_grid(task)
+    tau_grid = delay_grid(task["tau_max"], task["tau_points"])
     outdir = _resolve_outdir(args, config)
     mech_cutoff, _ = model_cutoffs(params, task["mech_cutoff"])
     _, series, _ = solve_point(params, mech_cutoff, None, (), tau_grid)
@@ -413,17 +412,13 @@ def _cmd_g2tau(args) -> int:
 
 
 def _spec_from_config(config: RunConfig) -> SweepSpec:
-    """The sweep of a config, the ``TASK_VALUES`` defaults under its [task]
-    keys, which name ``SweepSpec`` fields but for the axes and the tau grid. A
-    given key absent from the sweep's ``_spec_task`` is a config error."""
+    """The sweep of a config: its [task] keys name ``SweepSpec`` fields but for
+    the axes. A given key that the spec resolves to ``None`` is a config error."""
     if "axis1" not in config.task:
         raise ConfigError("[task] axis1 is required for a sweep")
-    task = {key: default for key, (_, default) in TASK_VALUES.items()} | config.task
-    axes = tuple(task[name] for name in ("axis1", "axis2") if name in task)
-    tau_grid = _tau_grid(task) if "g2_tau" in task.get("outputs", ()) else None
-    spec_fields = {key: value for key, value in task.items()
-                   if key not in ("axis1", "axis2", "tau_max", "tau_points")}
-    spec = SweepSpec(axes=axes, fixed=config.model, tau_grid=tau_grid, **spec_fields)
+    task = dict(config.task)
+    axes = tuple(task.pop(name) for name in ("axis1", "axis2") if name in task)
+    spec = SweepSpec(axes=axes, fixed=config.model, **task)
     if unused := [key for key in config.task if key not in _spec_task(spec)]:
         raise ConfigError(f"sweep does not use [task] {', '.join(unused)}")
     return spec
@@ -431,22 +426,13 @@ def _spec_from_config(config: RunConfig) -> SweepSpec:
 
 def _spec_task(spec: SweepSpec) -> dict[str, str]:
     """The [task] text that reproduces a sweep: each axis as a list of repr
-    floats, the cutoffs resolved, the tau grid (a linspace from 0, as configs
-    give it) only with ``g2_tau``, and ``root_branch`` only with an optimum."""
+    floats, the outputs, then each ``TASK_VALUES`` field that the run uses."""
     task = {}
     for i, (name, values) in enumerate(spec.axes, start=1):
         task[f"axis{i}"], task[f"axis{i}_values"] = name, ", ".join(map(repr, values))
     task["outputs"] = ", ".join(spec.outputs)
-    mech, cavity = model_cutoffs(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
-    task["mech_cutoff"] = str(mech)
-    if cavity is not None:
-        task["cavity_cutoff"] = str(cavity)
-    if spec.tau_grid is not None:
-        task["tau_max"], task["tau_points"] = repr(spec.tau_grid[-1]), str(len(spec.tau_grid))
-    if spec.delta_opt is not None:
-        task["delta_opt"] = repr(spec.delta_opt)
-    if spec.delta_opt is not None or any(name == "delta_opt" for name, _ in spec.axes):
-        task["root_branch"] = spec.root_branch
+    task.update((key, str(value)) for key in TASK_VALUES
+                if (value := getattr(spec, key)) is not None)
     return task
 
 
@@ -458,9 +444,9 @@ def _write_sweep(spec: SweepSpec, outdir: Path, stem: str, plot_script: bool) ->
     write_metadata({**result.metadata, "version": __version__,
                     "config_echo": _echo(spec.fixed, _spec_task(spec), outdir, plot_script)},
                    outdir / f"{stem}.meta.json")
-    write_tau_csv(result, outdir / f"{stem}_tau.csv")
+    tau_path = write_tau_csv(result, outdir / f"{stem}_tau.csv")
     if plot_script:
-        write_plot_script(result, csv_path.name, outdir / f"{stem}.gp")
+        write_plot_script(result, csv_path.name, outdir / f"{stem}.gp", tau_path and tau_path.name)
     failures = result.metadata["failures"]
     log.info("%s: %d rows, %d failed, %.2fs", stem, result.n_rows, len(failures),
              result.metadata["wall_time_s"])

@@ -1,12 +1,13 @@
 """Parameter-grid execution engine and named presets for figure data.
 
 A :class:`SweepSpec` names one or two axes over fields of the baseline
-parameters, the outputs to evaluate, and optional truncation overrides. Grid
-points are independent and are evaluated one after another in row-major axis
-order, so identical specs produce identical tables. :func:`solve_point` is the
-one place that builds, solves and measures a point, for sweep rows and the CLI
-point commands alike. Each row is re-solved with the mechanical cutoff raised
-by two and flagged converged only when its scalars change by less than 0.5%.
+parameters, the outputs to evaluate, and the run's one-value settings, which
+it resolves on construction. Grid points are independent and are evaluated
+one after another in row-major axis order, so identical specs produce
+identical tables. :func:`solve_point` is the one place that builds, solves
+and measures a point, for sweep rows and the CLI point commands alike. Each
+row is re-solved with the mechanical cutoff raised by two and flagged
+converged only when its scalars change by less than 0.5%.
 
 Drives realizing an interference optimum are derived per point when
 ``delta_opt`` is set (either as a spec field or as the pseudo-axis
@@ -25,7 +26,7 @@ import logging
 import math
 import re
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,34 +52,51 @@ CUTOFF_INCREMENT = 2
 SCALAR_OUTPUTS = ("g2_zero", "n_b", "g2a_zero")
 ALL_OUTPUTS = SCALAR_OUTPUTS + ("g2_tau", "eta_phi_roots")
 
+# default delay grid of g2_tau outputs and of the g2tau command: three phonon lifetimes
+DEFAULT_TAU_MAX = 3.0 * 2.0 * math.pi
+DEFAULT_TAU_POINTS = 121
+
+
+def delay_grid(tau_max: float, tau_points: int) -> tuple[float, ...]:
+    """linspace(0, tau_max, tau_points), checked first to be finite and ascending."""
+    if (not isinstance(tau_points, (int, np.integer)) or tau_points < 1
+            or not 0 <= tau_max < math.inf or (tau_max == 0 and tau_points > 1)):
+        raise ParameterError(f"tau_grid needs an integer tau_points (--tau-points) >= 1 and a "
+                             f"finite tau_max (--tau-max) > 0 (0 for one point), got "
+                             f"{tau_points} and {tau_max}")
+    return tuple(np.linspace(0.0, tau_max, tau_points).tolist())
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid job description.
+    """Grid job description, its run resolved on construction.
 
     ``axes`` holds one or two (field name, values) pairs; names must be
     fields of the baseline parameter type, except for the derived pseudo-axis
-    ``"delta_opt"``. Outputs must be distinct. ``mech_cutoff`` and
-    ``cavity_cutoff`` override the default truncations; a cutoff below 2, a
-    ``cavity_cutoff`` with a two-mode baseline, or a non-finite ``delta_opt``
-    is rejected on construction.
+    ``"delta_opt"``. Outputs must be distinct. Each one-value field holds what
+    the run uses, and ``None`` where it uses nothing: the cutoffs default to
+    the model's (no ``cavity_cutoff`` on the two-mode model), ``tau_max`` and
+    ``tau_points`` to the default delay grid ``tau_grid`` with a ``g2_tau``
+    output, and ``root_branch`` to ``"+"`` when an optimum is used
+    (``delta_opt`` as a field or an axis). A bad cutoff, delay grid or branch,
+    or a non-finite ``delta_opt``, is rejected.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
     fixed: MqParams | DetectionParams
     outputs: tuple[str, ...] = ("g2_zero",)
-    tau_grid: tuple[float, ...] | None = None
     mech_cutoff: int | None = None
     cavity_cutoff: int | None = None
+    tau_max: float | None = None
+    tau_points: int | None = None
     delta_opt: float | None = None
-    root_branch: str = "+"
+    root_branch: str | None = None
+    tau_grid: tuple[float, ...] | None = field(init=False)
 
     def __post_init__(self) -> None:
         axes = tuple((str(n), tuple(float(v) for v in vals)) for n, vals in self.axes)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        if self.tau_grid is not None:
-            object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
         if not 1 <= len(axes) <= 2:
             raise ParameterError(f"need 1 or 2 axes, got {len(axes)}")
         valid = set(flat_params(self.fixed)) | {"delta_opt"}
@@ -102,19 +120,25 @@ class SweepSpec:
             raise ParameterError(f"outputs must be distinct, got {self.outputs}")
         if "g2a_zero" in self.outputs and not isinstance(self.fixed, DetectionParams):
             raise ParameterError("g2a_zero needs a DetectionParams baseline")
-        grid = self.tau_grid
-        if ("g2_tau" in self.outputs) != (grid is not None):
-            raise ParameterError("tau_grid must be given exactly when g2_tau is an output")
-        if grid is not None and not (grid and all(0 <= t < math.inf for t in grid)
-                                     and all(a < b for a, b in zip(grid, grid[1:]))):
-            raise ParameterError("tau_grid must be non-empty, finite, ascending and non-negative")
-        if self.root_branch not in ("+", "-"):
+        if self.root_branch not in (None, "+", "-"):
             raise ParameterError(f"root_branch must be '+' or '-', got {self.root_branch!r}")
         if self.delta_opt is not None and any(n == "delta_opt" for n, _ in axes):
             raise ParameterError("delta_opt given both as a field and as an axis")
         if self.delta_opt is not None and not math.isfinite(self.delta_opt):
             raise ParameterError(f"delta_opt must be finite, got {self.delta_opt}")
-        model_space(self.fixed, self.mech_cutoff, self.cavity_cutoff)
+        mech, cavity = model_cutoffs(self.fixed, self.mech_cutoff, self.cavity_cutoff)
+        model_space(self.fixed, mech, cavity)
+        tau_max = tau_points = grid = None
+        if "g2_tau" in self.outputs:
+            tau_max = DEFAULT_TAU_MAX if self.tau_max is None else float(self.tau_max)
+            tau_points = DEFAULT_TAU_POINTS if self.tau_points is None else self.tau_points
+            grid = delay_grid(tau_max, tau_points)
+        optimum = self.delta_opt is not None or any(n == "delta_opt" for n, _ in axes)
+        resolved = dict(mech_cutoff=mech, cavity_cutoff=cavity, tau_max=tau_max,
+                        tau_points=tau_points, tau_grid=grid,
+                        root_branch=(self.root_branch or "+") if optimum else None)
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -191,8 +215,6 @@ def _timed(seconds: dict[str, float], stage: str, *solve_args):
 def _evaluate_point(
     spec: SweepSpec,
     point: Mapping[str, float],
-    mech: int,
-    cavity: int | None,
     seconds: dict[str, float],
 ) -> tuple[dict[str, float], float, str | None]:
     """Returns (cells, residual, error): the row's cells by column name, its
@@ -212,10 +234,10 @@ def _evaluate_point(
             return {**cells, "converged": True}, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
-        scalars, series, residual = _timed(seconds, "steady_s", params, mech, cavity,
-                                           check_outputs, spec.tau_grid)
-        refined, _, _ = _timed(seconds, "refine_s", params, mech + CUTOFF_INCREMENT, cavity,
-                               check_outputs)
+        scalars, series, residual = _timed(seconds, "steady_s", params, spec.mech_cutoff,
+                                           spec.cavity_cutoff, check_outputs, spec.tau_grid)
+        refined, _, _ = _timed(seconds, "refine_s", params, spec.mech_cutoff + CUTOFF_INCREMENT,
+                               spec.cavity_cutoff, check_outputs)
     except PhonoblockError as exc:
         return dict(point), math.nan, f"{type(exc).__name__}: {exc}"
     cells.update((k, v) for k, v in scalars.items() if k in spec.outputs)
@@ -261,15 +283,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axis_names = [name for name, _ in spec.axes]
     points = [dict(zip(axis_names, combo))
               for combo in itertools.product(*(vals for _, vals in spec.axes))]
-    # cutoffs with their defaults applied, for every point and for the metadata
-    mech, cavity = model_cutoffs(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
     seconds = {"steady_s": 0.0, "refine_s": 0.0}
     n = len(points)
     columns = _empty_columns(spec, n)
     failures: list[tuple[int, str]] = []
     max_residual = 0.0
     for i, point in enumerate(points):
-        cells, residual, error = _evaluate_point(spec, point, mech, cavity, seconds)
+        cells, residual, error = _evaluate_point(spec, point, seconds)
         for name, value in cells.items():
             columns[name][i] = value
         if error is not None:
@@ -285,20 +305,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     metadata = {
         "fixed_params": flat_params(spec.fixed),
-        "model": "two_mode" if cavity is None else "three_mode",
+        "model": "two_mode" if spec.cavity_cutoff is None else "three_mode",
         "axes": [
             {"name": name, "n": len(vals), "min": min(vals), "max": max(vals)}
             for name, vals in spec.axes
         ],
         "outputs": list(spec.outputs),
-        "mech_cutoff": mech,
-        "cavity_cutoff": cavity,
+        "mech_cutoff": spec.mech_cutoff,
+        "cavity_cutoff": spec.cavity_cutoff,
         "convergence_cutoff_increment": CUTOFF_INCREMENT,
         "convergence_rtol": CONVERGENCE_RTOL,
         "tau_grid": list(spec.tau_grid) if spec.tau_grid else None,
         "delta_opt": spec.delta_opt,
-        "root_branch": spec.root_branch if spec.delta_opt is not None
-        or any(n == "delta_opt" for n in axis_names) else None,
+        "root_branch": spec.root_branch,
         "rows": n,
         "failures": failures,
         "max_steady_residual": max_residual,
@@ -317,10 +336,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 # unless a preset says otherwise; drives and detunings are in units of kappa.
 # ---------------------------------------------------------------------------
 
-# default delay grid of g2_tau outputs, also used by the CLI
-DEFAULT_TAU_MAX = 3.0 * 2.0 * math.pi
-DEFAULT_TAU_POINTS = 121
-_TAU_GRID = tuple(np.linspace(0.0, DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS))
 _WEAK = dict(eps=0.01, omega_drv=0.0, phi=0.0, kappa=1.0, gamma=1.0, n_th=0.0)
 
 
@@ -362,13 +377,11 @@ def _presets() -> dict[str, SweepSpec]:
         axes=(("delta", (10.0, 9.2, 11.0)),),
         fixed=MqParams(j=10.0, **_WEAK),
         outputs=("g2_tau",),
-        tau_grid=_TAU_GRID,
     )
     p["fig3f"] = SweepSpec(
         axes=(("delta", (0.0, 0.1, 0.2)),),
         fixed=MqParams(j=0.71, **_WEAK),
         outputs=("g2_tau",),
-        tau_grid=_TAU_GRID,
     )
     # Damping-ratio dependence at strong coupling (a, c) and at zero
     # detuning (b, d); gamma traces follow the caption and override the
@@ -466,7 +479,6 @@ def _presets() -> dict[str, SweepSpec]:
                 axes=(("delta", (dopt,)),),
                 fixed=two_drive,
                 outputs=("g2_tau",),
-                tau_grid=_TAU_GRID,
                 delta_opt=dopt,
                 root_branch=branch,
             )

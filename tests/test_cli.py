@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,7 @@ import phonoblock
 from phonoblock.cli import (TASK_VALUES, _echo, _spec_from_config, _spec_task, build_parser,
                             cli_main, load_config, render_config)
 from phonoblock.errors import ConfigError
-from phonoblock.model import (DetectionParams, MqParams, flat_params, model_cutoffs,
-                              with_two_drive_optimum)
+from phonoblock.model import DetectionParams, MqParams, flat_params, with_two_drive_optimum
 from phonoblock.sweep import (SweepSpec, figure_names, figure_panels, run_sweep,
                               solve_point)
 
@@ -27,11 +26,6 @@ def _value(output: str, key: str) -> float:
     match = re.search(rf"^{key} = (\S+)$", output, re.MULTILINE)
     assert match, f"{key!r} not found in output:\n{output}"
     return float(match.group(1))
-
-
-def _with_resolved_cutoffs(spec: SweepSpec) -> SweepSpec:
-    mech, cavity = model_cutoffs(spec.fixed, spec.mech_cutoff, spec.cavity_cutoff)
-    return replace(spec, mech_cutoff=mech, cavity_cutoff=cavity)
 
 
 def test_optimal_prints_no_drive_optimum(capsys):
@@ -278,21 +272,37 @@ def test_figure_fig7_outputs(tmp_path):
         assert cell == "NA" or math.isfinite(float(cell))
     meta = json.loads(meta_path.read_text())
     assert meta["rows"] == len(lines) - 1
-    # the echo is the preset as a sweep config, its cutoffs resolved
+    # the echo is the preset as a sweep config
     (tmp_path / "echo.cfg").write_text(render_config(meta["config_echo"]))
-    assert _spec_from_config(load_config(tmp_path / "echo.cfg")) == _with_resolved_cutoffs(
-        figure_panels("fig7")["fig7"])
+    assert _spec_from_config(load_config(tmp_path / "echo.cfg")) == figure_panels("fig7")["fig7"]
     assert "plot" in gp_path.read_text()
 
 
 @pytest.mark.parametrize("panel", [p for name in figure_names() for p in figure_panels(name)])
 def test_preset_echo_loads_as_its_preset(tmp_path, panel):
-    # no solve: the echo of every panel, rendered and loaded, gives back the
-    # panel's spec with its cutoffs resolved
+    # no solve: the echo of every panel, rendered and loaded, gives back the panel's spec
     spec = figure_panels(panel)[panel]
     (tmp_path / "echo.cfg").write_text(render_config(_echo(spec.fixed, _spec_task(spec),
                                                            tmp_path, True)))
-    assert _spec_from_config(load_config(tmp_path / "echo.cfg")) == _with_resolved_cutoffs(spec)
+    assert _spec_from_config(load_config(tmp_path / "echo.cfg")) == spec
+
+
+@pytest.mark.parametrize("panel", [p for name in figure_names() for p in figure_panels(name)])
+def test_preset_echo_holds_its_axes_outputs_and_used_fields(panel):
+    spec = figure_panels(panel)[panel]
+    task = _spec_task(spec)
+    used = [key for key in TASK_VALUES if getattr(spec, key) is not None]
+    axis_keys = [key for i in range(1, len(spec.axes) + 1)
+                 for key in (f"axis{i}", f"axis{i}_values")]
+    assert list(task) == [*axis_keys, "outputs", *used]
+    assert task["outputs"] == ", ".join(spec.outputs)
+    for key in used:
+        assert TASK_VALUES[key][0](task[key]) == getattr(spec, key)
+
+
+def test_task_values_are_sweep_spec_fields_in_their_order():
+    assert list(TASK_VALUES) == [f.name for f in fields(SweepSpec) if f.name in TASK_VALUES]
+    assert set(TASK_VALUES) <= {f.name for f in fields(SweepSpec) if f.init}
 
 
 @pytest.mark.parametrize("panel", ["fig7", "fig9c_plus"])
@@ -318,9 +328,9 @@ def test_figure_echo_reruns_as_the_same_sweep(tmp_path, capsys, panel):
         figure_file, sweep_file = a / f"{panel}{suffix}", b / f"sweep{suffix}"
         assert sweep_file.exists() == figure_file.exists()
         if figure_file.exists():
-            # the plot script names the CSV next to it
+            # the plot script names the CSVs next to it
             assert sweep_file.read_bytes() == figure_file.read_bytes().replace(
-                f"{panel}.csv".encode(), b"sweep.csv")
+                panel.encode(), b"sweep")
 
 
 def test_figure_fig3b_minimum(tmp_path):
@@ -492,6 +502,40 @@ def test_figure_sub_figure_prefix_runs_its_panels(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
         "fig9c_minus.csv", "fig9c_minus_tau.csv", "fig9c_plus.csv", "fig9c_plus_tau.csv",
     ]
+
+
+def _run_g2_tau_only_sweep(tmp_path, axes: str) -> Path:
+    """Output directory of a short g2_tau-only sweep over ``axes`` ([task] text)."""
+    (tmp_path / "tau.cfg").write_text(
+        f"[model]\nj = 0.71\neps = 0.01\n\n[task]\n{axes}outputs = g2_tau\ntau_max = 1\n"
+        f"tau_points = 3\nmech_cutoff = 3\n\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["sweep", "--config", str(tmp_path / "tau.cfg")]) == 0
+    return tmp_path / "out"
+
+
+def test_tau_csv_labels_keep_13_significant_digits(tmp_path, capsys):
+    # six significant digits used to label both series g2__delta_0.1
+    out = _run_g2_tau_only_sweep(tmp_path, "axis1 = delta\naxis1_values = 0.1000001, 0.1000002\n")
+    capsys.readouterr()
+    header = (out / "sweep_tau.csv").read_text().splitlines()[0]
+    assert header == "tau,g2__delta_0.1000001,g2__delta_0.1000002"
+
+
+@pytest.mark.parametrize("axes, n_series", [
+    ("axis1 = delta\naxis1_values = 0, 0.1\n", 2),
+    ("axis1 = delta\naxis1_values = 0, 0.1\naxis2 = j\naxis2_values = 0.5, 0.71\n", 4),
+])
+def test_g2_tau_only_plot_script_plots_each_tau_series(tmp_path, capsys, axes, n_series):
+    # such a script used to set its labels and plot nothing
+    out = _run_g2_tau_only_sweep(tmp_path, axes)
+    capsys.readouterr()
+    tau_header = (out / "sweep_tau.csv").read_text().splitlines()[0].split(",")
+    assert len(tau_header) == 1 + n_series
+    script = (out / "sweep.gp").read_text()
+    plots = ", \\\n     ".join(f"'sweep_tau.csv' using 1:{k} with lines"
+                                for k in range(2, n_series + 2))
+    assert script.endswith(f"set xlabel 'tau'\nplot {plots}\n")
 
 
 def _g2_tau_sweep_config(tmp_path, task_extra: str = "") -> Path:

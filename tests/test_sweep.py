@@ -114,8 +114,6 @@ def test_spec_validation():
     with pytest.raises(ParameterError):
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, outputs=("g2a_zero",))
     with pytest.raises(ParameterError):
-        SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, outputs=("g2_tau",))
-    with pytest.raises(ParameterError):
         SweepSpec(
             axes=(("delta", (1.0,)), ("j", (1.0,)), ("eps", (1.0,))), fixed=WEAK
         )
@@ -162,13 +160,14 @@ def test_eta_phi_roots_output_columns():
 
 
 def test_g2_tau_output_columns():
-    tau_grid = (0.0, 1.0, 2.0)
     spec = SweepSpec(
         axes=(("delta", (0.0,)),),
         fixed=replace(WEAK, j=1 / math.sqrt(2)),
         outputs=("g2_zero", "g2_tau"),
-        tau_grid=tau_grid,
+        tau_max=2.0,
+        tau_points=3,
     )
+    assert spec.tau_grid == (0.0, 1.0, 2.0)
     result = run_sweep(spec)
     assert result.columns["g2_tau_000"][0] == pytest.approx(
         result.columns["g2_zero"][0], abs=1e-8
@@ -302,21 +301,45 @@ def test_figure_panels_accepts_sub_figure_prefixes():
             figure_panels(name)
 
 
+# each grid is a (tau_max, tau_points) pair: a zero tau_max repeats its delays, and
+# 2.5 is no point count
 @pytest.mark.parametrize(
     "tau_grid",
-    [(0.0, math.nan), (0.0, math.inf), (math.nan,), (-1.0, 0.0), (0.0, 1.0, 1.0)],
+    [(math.nan, 121), (math.inf, 121), (-1.0, 121), (1.0, 0), (0.0, 3), (1.0, 2.5)],
 )
 def test_bad_tau_grid_rejected_on_construction(tau_grid):
+    tau_max, tau_points = tau_grid
     with pytest.raises(ParameterError, match="tau_grid"):
-        SweepSpec(
-            axes=(("delta", (0.0,)),), fixed=WEAK, outputs=("g2_tau",), tau_grid=tau_grid
-        )
+        SweepSpec(axes=(("delta", (0.0,)),), fixed=WEAK, outputs=("g2_tau",),
+                  tau_max=tau_max, tau_points=tau_points)
 
 
-def test_tau_grid_without_g2_tau_output_rejected_on_construction():
-    # such a grid used to reach the metadata, and the tau CSV writer then failed
-    with pytest.raises(ParameterError, match="tau_grid"):
-        SweepSpec(axes=(("delta", (0.0,)),), fixed=WEAK, tau_grid=(0.0, 1.0))
+def test_unused_spec_fields_resolve_to_none():
+    # a delay grid without g2_tau, a branch without an optimum and a cavity
+    # cutoff's default without a cavity are not part of the run
+    spec = SweepSpec(axes=(("delta", (0.0,)),), fixed=WEAK, tau_max=1.0, tau_points=2,
+                     root_branch="-")
+    assert spec.tau_max is spec.tau_points is spec.tau_grid is None
+    assert spec.root_branch is None and spec.cavity_cutoff is None
+    assert spec.mech_cutoff == 8
+    three_mode = SweepSpec(axes=(("delta", (0.0,)),), fixed=DetectionParams(base=WEAK))
+    assert (three_mode.mech_cutoff, three_mode.cavity_cutoff) == (6, 3)
+    for optimum in ({"delta_opt": 3.0}, {"axes": (("delta_opt", (3.0,)),)}):
+        assert replace(spec, **optimum).root_branch == "+"
+        assert replace(spec, **optimum, root_branch="-").root_branch == "-"
+
+
+def test_g2_tau_spec_takes_the_default_delay_grid():
+    spec = SweepSpec(axes=(("delta", (0.0,)),), fixed=WEAK, outputs=("g2_tau",))
+    assert spec == SweepSpec(axes=(("delta", (0.0,)),), fixed=WEAK, outputs=("g2_tau",),
+                             tau_max=sweep.DEFAULT_TAU_MAX, tau_points=sweep.DEFAULT_TAU_POINTS)
+    assert spec.tau_grid == tuple(np.linspace(0.0, 3.0 * 2.0 * math.pi, 121))
+
+
+@pytest.mark.parametrize("panel", [p for name in figure_names() for p in figure_panels(name)])
+def test_preset_resolution_is_idempotent(panel):
+    spec = figure_panels(panel)[panel]
+    assert replace(spec) == spec
 
 
 def test_solve_point_measures_the_named_modes():
