@@ -10,12 +10,14 @@ photon-phonon comparison). All physical inputs are in units of kappa except
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 
 Config files are INI-style text with sections ``[model]``, ``[task]`` and
-``[output]`` and a strict key schema; unknown keys are rejected by name. A
-point command reads the ``TASK_VALUES`` keys it has a flag for, the flag on
-top, and rejects any other ``[task]`` key; a sweep sets the ``SweepSpec``
-field of each key and rejects one that the spec resolves to ``None``, as
-unused. The ``config_echo`` of a ``.meta.json`` sidecar holds the resolved run,
-and ``render_config`` makes of it a config that reproduces the table exactly.
+``[output]`` and a strict key schema; unknown keys are rejected by name. Each
+``TASK_VALUES`` key sets the ``SweepSpec`` field of its name, and the spec
+resolves every run: a point command runs a spec with no axes, built from
+``[model]`` and the keys it has a flag for, the flags on top, and rejects any
+other ``[task]`` key; a sweep rejects a key that its spec resolves to
+``None``, as unused. The ``config_echo`` of a ``.meta.json`` sidecar holds
+the resolved run, and ``render_config`` makes of it a config that reproduces
+the table exactly.
 
 CSV schema: one header line of column names, one row per grid point, decimal
 text with 13 significant digits, and the sentinel ``NA`` for failed points.
@@ -47,12 +49,9 @@ from .model import (
     DetectionParams,
     MqParams,
     flat_params,
-    model_cutoffs,
-    resolve_params,
     with_flat_updates,
 )
-from .sweep import (DEFAULT_TAU_MAX, DEFAULT_TAU_POINTS, SweepResult, SweepSpec, delay_grid,
-                    figure_names, figure_panels, run_sweep, solve_point)
+from .sweep import SweepResult, SweepSpec, figure_names, figure_panels, run_sweep, solve_point
 
 log = logging.getLogger("phonoblock")
 
@@ -77,18 +76,10 @@ def _parse(section: str, key: str, raw: str, kind: Callable = float) -> float | 
         raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from exc
 
 
-def _root_branch(raw: str) -> str:
-    if raw not in ("+", "-"):
-        raise ConfigError(f"root_branch must be '+' or '-', got {raw!r}")
-    return raw
-
-
-# The one-value [task] keys, named and ordered as the SweepSpec fields they set:
-# key -> (parser, point-command default), None for the model's own default. A
-# sweep's spec resolves its own; a point command reads those it has a flag for.
-TASK_VALUES = {"mech_cutoff": (int, None), "cavity_cutoff": (int, None),
-               "tau_max": (float, DEFAULT_TAU_MAX), "tau_points": (int, DEFAULT_TAU_POINTS),
-               "delta_opt": (float, None), "root_branch": (_root_branch, "+")}
+# The one-value [task] keys, named and ordered as the SweepSpec fields they set,
+# each with its parser; the spec gives an absent key its default and checks it.
+TASK_VALUES = {"mech_cutoff": int, "cavity_cutoff": int, "tau_max": float, "tau_points": int,
+               "delta_opt": float, "root_branch": str}
 
 
 def _config_keys(params: MqParams | DetectionParams) -> dict[str, float]:
@@ -176,12 +167,14 @@ def load_config(path: str | Path) -> RunConfig:
                 raise ConfigError(f"axis{i}_range point count must be >= 1")
             if not math.isfinite(hi - lo):  # also catches a span that overflows
                 raise ConfigError(f"axis{i}_range bounds must be finite, got {range_raw!r}")
+            if n == 1 and lo != hi:  # linspace would drop hi
+                raise ConfigError(f"axis{i}_range with one point needs lo = hi, got {range_raw!r}")
             values = tuple(np.linspace(lo, hi, n))
         task[f"axis{i}"] = (name.strip(), values)
     if "outputs" in task_raw:
         task["outputs"] = tuple(s.strip() for s in task_raw["outputs"].split(","))
     task.update((key, _parse("task", key, task_raw[key], kind))
-                for key, (kind, _) in TASK_VALUES.items() if key in task_raw)
+                for key, kind in TASK_VALUES.items() if key in task_raw)
 
     plot_script = output_raw.get("plot_script", "true")
     if plot_script.lower() not in parser.BOOLEAN_STATES:
@@ -348,21 +341,23 @@ def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) ->
                         help="config file: [model] and these flags' [task] keys")
 
 
-def _point_inputs(args, detection: bool = False):
-    """Params, [task] values and config of a point command: defaults < config < flags."""
+def _point_spec(args, outputs: tuple[str, ...] = ("g2_zero",),
+                detection: bool = False) -> tuple[SweepSpec, RunConfig | None]:
+    """The run of a point command, a spec with no axes, and its config:
+    defaults < config < flags, in [model] and in [task] alike."""
     config = load_config(args.config) if args.config else None
     given = config.task if config else {}
     if unused := [key for key in given if not hasattr(args, key)]:
         raise ConfigError(f"{args.command} has no option for [task] {', '.join(unused)}")
-    task = {key: given.get(key, default) if getattr(args, key) is None else getattr(args, key)
-            for key, (_, default) in TASK_VALUES.items() if hasattr(args, key)}
+    task = {key: given.get(key) if getattr(args, key) is None else getattr(args, key)
+            for key in TASK_VALUES if hasattr(args, key)}
     params = config.model if config else MqParams()
     if detection and isinstance(params, MqParams):
         params = DetectionParams(base=params)
     elif not detection and isinstance(params, DetectionParams):
         params = params.base
     flags = {k: v for k in flat_params(params) if (v := getattr(args, k)) is not None}
-    return resolve_params(params, flags, task["delta_opt"], task["root_branch"]), task, config
+    return SweepSpec((), with_flat_updates(params, flags), outputs, **task), config
 
 
 def _resolve_outdir(args, config: RunConfig | None) -> Path:
@@ -385,8 +380,8 @@ def _resolve_outdir(args, config: RunConfig | None) -> Path:
 
 
 def _cmd_steady(args) -> int:
-    params, task, _ = _point_inputs(args)
-    values, _, _ = solve_point(params, task["mech_cutoff"], None,
+    spec, _ = _point_spec(args)
+    values, _, _ = solve_point(spec.params_at({}), spec.mech_cutoff, None,
                                ("n_b", "g2_zero", "qubit_excitation"))
     print(f"n_b = {values['n_b']:.6g}")
     print(f"g2_0 = {values['g2_zero']:.6g}")
@@ -395,14 +390,13 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_g2tau(args) -> int:
-    params, task, config = _point_inputs(args)
-    tau_grid = delay_grid(task["tau_max"], task["tau_points"])
+    spec, config = _point_spec(args, ("g2_tau",))
+    params = spec.params_at({})
     outdir = _resolve_outdir(args, config)
-    mech_cutoff, _ = model_cutoffs(params, task["mech_cutoff"])
-    _, series, _ = solve_point(params, mech_cutoff, None, (), tau_grid)
-    path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(tau_grid, series))
+    _, series, _ = solve_point(params, spec.mech_cutoff, None, (), spec.tau_grid)
+    path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(spec.tau_grid, series))
     # the echo alone reproduces the run: its [model] holds any derived drive
-    resolved = dict(mech_cutoff=mech_cutoff, tau_max=task["tau_max"], tau_points=task["tau_points"])
+    resolved = dict(mech_cutoff=spec.mech_cutoff, tau_max=spec.tau_max, tau_points=spec.tau_points)
     echo = _echo(params, {k: repr(v) for k, v in resolved.items()}, outdir, True)
     write_metadata({"version": __version__, "config_echo": echo, **resolved},
                    outdir / "g2tau.meta.json")
@@ -454,8 +448,6 @@ def _write_sweep(spec: SweepSpec, outdir: Path, stem: str, plot_script: bool) ->
 
 
 def _cmd_sweep(args) -> int:
-    if not args.config:
-        raise ConfigError("sweep requires --config")
     config = load_config(args.config)
     spec = _spec_from_config(config)
     _write_sweep(spec, _resolve_outdir(args, config), "sweep", config.output["plot_script"])
@@ -491,12 +483,12 @@ def _cmd_thermal(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    params, task, _ = _point_inputs(args, detection=True)
-    mech_cutoff, cavity_cutoff = model_cutoffs(params, task["mech_cutoff"], task["cavity_cutoff"])
-    values, _, _ = solve_point(params, mech_cutoff, cavity_cutoff,
+    spec, _ = _point_spec(args, detection=True)
+    params = spec.params_at({})
+    values, _, _ = solve_point(params, spec.mech_cutoff, spec.cavity_cutoff,
                                ("g2_zero", "g2a_zero", "n_b", "n_a"))
     # two-mode reference without the readout cavity, two Fock levels deeper
-    reference, _, _ = solve_point(params.base, mech_cutoff + 2, None, ("g2_zero",))
+    reference, _, _ = solve_point(params.base, spec.mech_cutoff + 2, None, ("g2_zero",))
     g2_b, g2_a = values["g2_zero"], values["g2a_zero"]
     print(f"g2_b = {g2_b:.6g}")
     print(f"g2_a = {g2_a:.6g}")
@@ -530,7 +522,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_g2tau)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
-    p.add_argument("--config", required=False, default=None)
+    p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("figure", help="run a named figure preset")

@@ -352,15 +352,3 @@ def with_two_drive_optimum(
         return replace(p, base=with_two_drive_optimum(p.base, delta_opt, branch))
     omega, phi = two_drive_settings(delta_opt, p.j, p.kappa, p.gamma, p.eps, branch)
     return replace(p, omega_drv=omega, phi=phi)
-
-
-def resolve_params(
-    p: MqParams | DetectionParams,
-    updates: Mapping[str, float | complex],
-    delta_opt: float | None = None,
-    branch: str = "+",
-) -> MqParams | DetectionParams:
-    """The params of one run or sweep point: the flat ``updates`` applied, then,
-    when ``delta_opt`` is set, the qubit drive of the interference optimum."""
-    p = with_flat_updates(p, updates)
-    return p if delta_opt is None else with_two_drive_optimum(p, delta_opt, branch)

@@ -1,11 +1,12 @@
 """Parameter-grid execution engine and named presets for figure data.
 
-A :class:`SweepSpec` names one or two axes over fields of the baseline
+A :class:`SweepSpec` names zero to two axes over fields of the baseline
 parameters, the outputs to evaluate, and the run's one-value settings, which
-it resolves on construction. Grid points are independent and are evaluated
-one after another in row-major axis order, so identical specs produce
-identical tables. :func:`solve_point` is the one place that builds, solves
-and measures a point, for sweep rows and the CLI point commands alike. Each
+it resolves on construction; a spec with no axes is one point, the run of a
+CLI point command. Grid points are independent and are evaluated one after
+another in row-major axis order, so identical specs produce identical tables.
+:meth:`SweepSpec.params_at` gives the params of a point and :func:`solve_point`
+builds, solves and measures it, for sweep rows and point commands alike. Each
 row is re-solved with the mechanical cutoff raised by two and flagged
 converged only when its scalars change by less than 0.5%.
 
@@ -40,7 +41,8 @@ from .model import (
     flat_params,
     model_cutoffs,
     model_space,
-    resolve_params,
+    with_flat_updates,
+    with_two_drive_optimum,
 )
 from .solver import assemble, liouvillian_basis, steady_state, steady_state_residual
 
@@ -58,9 +60,10 @@ DEFAULT_TAU_POINTS = 121
 
 
 def delay_grid(tau_max: float, tau_points: int) -> tuple[float, ...]:
-    """linspace(0, tau_max, tau_points), checked first to be finite and ascending."""
+    """linspace(0, tau_max, tau_points), checked first to be finite and ascending,
+    with tau_max = 0 exactly when there is one point."""
     if (not isinstance(tau_points, (int, np.integer)) or tau_points < 1
-            or not 0 <= tau_max < math.inf or (tau_max == 0 and tau_points > 1)):
+            or not 0 <= tau_max < math.inf or (tau_max == 0) != (tau_points == 1)):
         raise ParameterError(f"tau_grid needs an integer tau_points (--tau-points) >= 1 and a "
                              f"finite tau_max (--tau-max) > 0 (0 for one point), got "
                              f"{tau_points} and {tau_max}")
@@ -71,15 +74,16 @@ def delay_grid(tau_max: float, tau_points: int) -> tuple[float, ...]:
 class SweepSpec:
     """Grid job description, its run resolved on construction.
 
-    ``axes`` holds one or two (field name, values) pairs; names must be
-    fields of the baseline parameter type, except for the derived pseudo-axis
-    ``"delta_opt"``. Outputs must be distinct. Each one-value field holds what
-    the run uses, and ``None`` where it uses nothing: the cutoffs default to
-    the model's (no ``cavity_cutoff`` on the two-mode model), ``tau_max`` and
-    ``tau_points`` to the default delay grid ``tau_grid`` with a ``g2_tau``
-    output, and ``root_branch`` to ``"+"`` when an optimum is used
-    (``delta_opt`` as a field or an axis). A bad cutoff, delay grid or branch,
-    or a non-finite ``delta_opt``, is rejected.
+    ``axes`` holds zero to two (field name, values) pairs, and a spec with no
+    axes is one point; names must be fields of the baseline parameter type,
+    except for the derived pseudo-axis ``"delta_opt"``. Outputs must be
+    distinct. Each one-value field holds what the run uses, and ``None``
+    where it uses nothing: the cutoffs default to the model's (no
+    ``cavity_cutoff`` on the two-mode model), ``tau_max`` and ``tau_points``
+    to the default delay grid ``tau_grid`` with a ``g2_tau`` output, and
+    ``root_branch`` to ``"+"`` when an optimum is used (``delta_opt`` as a
+    field or an axis). A bad cutoff, delay grid or branch, or a non-finite
+    ``delta_opt``, is rejected.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -97,8 +101,8 @@ class SweepSpec:
         axes = tuple((str(n), tuple(float(v) for v in vals)) for n, vals in self.axes)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        if not 1 <= len(axes) <= 2:
-            raise ParameterError(f"need 1 or 2 axes, got {len(axes)}")
+        if len(axes) > 2:
+            raise ParameterError(f"need at most 2 axes, got {len(axes)}")
         valid = set(flat_params(self.fixed)) | {"delta_opt"}
         for name, values in axes:
             if name not in valid:
@@ -147,6 +151,17 @@ class SweepSpec:
     @property
     def n_points(self) -> int:
         return int(np.prod(self.shape))
+
+    def params_at(self, point: Mapping[str, float]) -> MqParams | DetectionParams:
+        """The params of a grid point, keyed by axis name: its values on
+        ``fixed``, then, when an optimum is used, the qubit drive of the
+        interference optimum at the point's ``delta_opt`` or the spec's."""
+        updates = {name: value for name, value in point.items() if name != "delta_opt"}
+        params = with_flat_updates(self.fixed, updates)
+        delta_opt = point.get("delta_opt", self.delta_opt)
+        if delta_opt is None:
+            return params
+        return with_two_drive_optimum(params, delta_opt, self.root_branch)
 
 
 @dataclass
@@ -223,9 +238,7 @@ def _evaluate_point(
     the re-solve is added to ``seconds`` under ``steady_s`` and ``refine_s``."""
     cells: dict[str, float] = dict(point)
     try:
-        updates = {name: value for name, value in point.items() if name != "delta_opt"}
-        params = resolve_params(spec.fixed, updates, point.get("delta_opt", spec.delta_opt),
-                                spec.root_branch)
+        params = spec.params_at(point)
         if "eta_phi_roots" in spec.outputs:
             base = params.base if isinstance(params, DetectionParams) else params
             cells.update(asdict(optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)))

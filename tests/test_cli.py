@@ -7,15 +7,15 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phonoblock
-from phonoblock.cli import (TASK_VALUES, _echo, _spec_from_config, _spec_task, build_parser,
-                            cli_main, load_config, render_config)
+from phonoblock.cli import (TASK_VALUES, _echo, _point_spec, _spec_from_config, _spec_task,
+                            build_parser, cli_main, load_config, render_config)
 from phonoblock.errors import ConfigError
 from phonoblock.model import DetectionParams, MqParams, flat_params, with_two_drive_optimum
 from phonoblock.sweep import (SweepSpec, figure_names, figure_panels, run_sweep,
@@ -297,7 +297,7 @@ def test_preset_echo_holds_its_axes_outputs_and_used_fields(panel):
     assert list(task) == [*axis_keys, "outputs", *used]
     assert task["outputs"] == ", ".join(spec.outputs)
     for key in used:
-        assert TASK_VALUES[key][0](task[key]) == getattr(spec, key)
+        assert TASK_VALUES[key](task[key]) == getattr(spec, key)
 
 
 def test_task_values_are_sweep_spec_fields_in_their_order():
@@ -355,6 +355,8 @@ def test_figure_fig3b_minimum(tmp_path):
     "flag, value",
     [
         ("--tau-points", "0"), ("--tau-points", "-3"),
+        # one point would drop the default tau_max
+        ("--tau-points", "1"),
         ("--tau-max", "-1"), ("--tau-max", "0"), ("--tau-max", "nan"), ("--tau-max", "inf"),
     ],
 )
@@ -661,6 +663,16 @@ def test_load_config_axis_range_must_be_finite(tmp_path, axis_range):
         load_config(path)
 
 
+def test_load_config_one_point_range_needs_equal_bounds(tmp_path):
+    # linspace(lo, hi, 1) is lo alone, so lo:hi:1 would drop hi
+    path = tmp_path / "range.cfg"
+    path.write_text("[task]\naxis1 = delta\naxis1_range = -1:1:1\n")
+    with pytest.raises(ConfigError, match="axis1_range with one point needs lo = hi"):
+        load_config(path)
+    path.write_text("[task]\naxis1 = delta\naxis1_range = 2:2:1\n")
+    assert load_config(path).task["axis1"] == ("delta", (2.0,))
+
+
 def test_sweep_command_and_echo_round_trip(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(
@@ -850,6 +862,43 @@ def test_point_command_rejects_task_key_it_has_no_flag_for(tmp_path, capsys, com
     assert f"config error: {command} has no option for [task] {key}" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+# the sweep output behind each line a point command prints
+_PRINTED_OUTPUTS = {"steady": {"g2_0": "g2_zero", "n_b": "n_b"},
+                    "detect": {"g2_b": "g2_zero", "g2_a": "g2a_zero", "n_b": "n_b"}}
+
+
+@pytest.mark.parametrize(
+    "command, model, task, flags",
+    [
+        ("steady", "j = 3\neps = 0.2\n", "mech_cutoff = 5\ndelta_opt = 3\n",
+         ["--delta", "0.1", "--branch", "-"]),
+        ("g2tau", "j = 0.71\neps = 0.01\n", "mech_cutoff = 5\ntau_max = 1\n",
+         ["--tau-points", "3"]),
+        ("detect", "j = 3\neps = 0.2\nn_th = 1e-3\n", "delta_opt = 3\ncavity_cutoff = 2\n",
+         ["--delta", "1", "--mech-cutoff", "3"]),
+    ],
+    ids=["steady", "g2tau", "detect"],
+)
+def test_point_command_reports_the_sweep_of_its_spec(tmp_path, capsys, command, model, task,
+                                                     flags):
+    (tmp_path / "point.cfg").write_text(f"[model]\n{model}\n[task]\n{task}")
+    argv = [command, "--config", str(tmp_path / "point.cfg"), *flags]
+    outputs = ("g2_tau",) if command == "g2tau" else ("g2_zero",)
+    spec, _ = _point_spec(build_parser().parse_args(argv), outputs, command == "detect")
+    assert cli_main(["--outdir", str(tmp_path), *argv]) == 0
+    out = capsys.readouterr().out
+    if command == "g2tau":
+        columns = run_sweep(spec).columns
+        rows = [(tau, columns[f"g2_tau_{k:03d}"][0]) for k, tau in enumerate(spec.tau_grid)]
+        assert (tmp_path / "g2tau.csv").read_text() == "tau,g2\n" + "".join(
+            f"{tau:.12e},{g2:.12e}\n" for tau, g2 in rows)
+    else:
+        printed = _PRINTED_OUTPUTS[command]
+        columns = run_sweep(replace(spec, outputs=tuple(printed.values()))).columns
+        for name, output in printed.items():
+            assert f"{name} = {columns[output][0]:.6g}\n" in out
 
 
 def test_point_command_options_are_model_fields_or_task_values():

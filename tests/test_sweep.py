@@ -11,7 +11,7 @@ import scipy.linalg
 
 from phonoblock import sweep
 from phonoblock.analytics import optimal_drive_roots
-from phonoblock.correlations import g2_zero
+from phonoblock.correlations import g2_zero, mean_occupation
 from phonoblock.errors import ParameterError, SweepError
 from phonoblock.hilbert import DensityMatrix, expectation, lowering
 from phonoblock.model import (
@@ -21,7 +21,6 @@ from phonoblock.model import (
     build_h_total,
     collapse_ops,
     model_space,
-    resolve_params,
 )
 from phonoblock.solver import build_liouvillian, liouvillian_basis, steady_state, unvec
 from phonoblock.sweep import (
@@ -113,7 +112,7 @@ def test_spec_validation():
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, outputs=("nope",))
     with pytest.raises(ParameterError):
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, outputs=("g2a_zero",))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="at most 2 axes"):
         SweepSpec(
             axes=(("delta", (1.0,)), ("j", (1.0,)), ("eps", (1.0,))), fixed=WEAK
         )
@@ -133,6 +132,22 @@ def test_spec_validation():
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, cavity_cutoff=5)
     with pytest.raises(ParameterError, match="delta_opt must be finite"):
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, delta_opt=math.nan)
+
+
+@pytest.mark.parametrize(
+    "outputs, task",
+    [(("g2_zero", "n_b"), {}),
+     (("g2_tau", "eta_phi_roots"),
+      {"tau_max": 1.0, "tau_points": 3, "delta_opt": 3.0, "root_branch": "-"})],
+)
+def test_spec_without_axes_is_the_one_axis_row_at_its_point(outputs, task):
+    fixed = MqParams(delta=0.1, j=3.0, eps=0.2)
+    point = run_sweep(SweepSpec((), fixed, outputs, **task))
+    row = run_sweep(SweepSpec((("delta", (0.1,)),), fixed, outputs, **task))
+    assert point.n_rows == 1 and point.metadata["axes"] == []
+    assert ["delta", *point.columns] == list(row.columns)
+    for name, column in point.columns.items():
+        np.testing.assert_array_equal(column, row.columns[name])
 
 
 def test_derived_drive_axis_matches_direct_settings():
@@ -301,11 +316,11 @@ def test_figure_panels_accepts_sub_figure_prefixes():
             figure_panels(name)
 
 
-# each grid is a (tau_max, tau_points) pair: a zero tau_max repeats its delays, and
-# 2.5 is no point count
+# each grid is a (tau_max, tau_points) pair: a zero tau_max repeats its delays, 2.5
+# is no point count, and one point drops a nonzero tau_max
 @pytest.mark.parametrize(
     "tau_grid",
-    [(math.nan, 121), (math.inf, 121), (-1.0, 121), (1.0, 0), (0.0, 3), (1.0, 2.5)],
+    [(math.nan, 121), (math.inf, 121), (-1.0, 121), (1.0, 0), (0.0, 3), (1.0, 2.5), (5.0, 1)],
 )
 def test_bad_tau_grid_rejected_on_construction(tau_grid):
     tau_max, tau_points = tau_grid
@@ -370,14 +385,15 @@ def _preset_point(name: str, index: int) -> tuple[MqParams, int | None]:
     """Params and mech cutoff of one point of a one-axis preset."""
     spec = figure_panels(name)[name]
     [(axis, values)] = spec.axes
-    params = resolve_params(spec.fixed, {axis: values[index]}, spec.delta_opt, spec.root_branch)
-    return params, spec.mech_cutoff
+    return spec.params_at({axis: values[index]}), spec.mech_cutoff
 
 
-def _dense_refined_g2(params: MqParams, mech_cutoff: int | None) -> float:
-    """g2(0) of the Kronecker-built generator's steady state, by dense LU
-    with three steps of iterative refinement on a long-double residual."""
-    space = model_space(params, mech_cutoff, None)
+def _dense_refined_scalars(params: MqParams | DetectionParams, mech_cutoff: int | None,
+                           cavity_cutoff: int | None) -> dict[str, float]:
+    """g2_zero, n_b and, with a cavity, g2a_zero of the Kronecker-built
+    generator's steady state, by dense LU with three steps of iterative
+    refinement on a long-double residual."""
+    space = model_space(params, mech_cutoff, cavity_cutoff)
     d = space.total_dim
     a = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space)).matrix.toarray()
     a[0, :] = 0.0
@@ -392,7 +408,12 @@ def _dense_refined_g2(params: MqParams, mech_cutoff: int | None) -> float:
         x = x + scipy.linalg.lu_solve(lu, residual.astype(complex))
     rho = unvec(x, d)
     rho = 0.5 * (rho + rho.conj().T)
-    return g2_zero(DensityMatrix(space, rho / np.trace(rho).real), lowering(space, "m"))
+    rho = DensityMatrix(space, rho / np.trace(rho).real)
+    b = lowering(space, "m")
+    scalars = {"g2_zero": g2_zero(rho, b), "n_b": mean_occupation(rho, b)}
+    if cavity_cutoff is not None:
+        scalars["g2a_zero"] = g2_zero(rho, lowering(space, "a"))
+    return scalars
 
 
 # the point of each preset where a COLAMD, partial-pivoting factorization
@@ -401,7 +422,33 @@ def _dense_refined_g2(params: MqParams, mech_cutoff: int | None) -> float:
 def test_g2_matches_a_refined_dense_solve(preset, index):
     params, cutoff = _preset_point(preset, index)
     values, _, _ = solve_point(params, cutoff, None, ("g2_zero",))
-    assert values["g2_zero"] == pytest.approx(_dense_refined_g2(params, cutoff), rel=1e-12)
+    expected = _dense_refined_scalars(params, cutoff, None)["g2_zero"]
+    assert values["g2_zero"] == pytest.approx(expected, rel=1e-12)
+
+
+def _random_point(rng: np.random.Generator, three_mode: bool):
+    """Params and cutoffs of a random point: drives, phase, thermal occupation
+    and damping ratios drawn, at cutoffs small enough for a dense solve."""
+    base = MqParams(delta=rng.uniform(-5.0, 5.0), j=rng.uniform(0.0, 5.0),
+                    eps=rng.uniform(0.05, 1.0), omega_drv=rng.uniform(0.0, 1.0),
+                    phi=rng.uniform(-math.pi, math.pi), gamma=rng.uniform(0.2, 5.0),
+                    n_th=rng.uniform(0.0, 0.2))
+    if not three_mode:
+        return base, int(rng.integers(3, 7)), None
+    params = DetectionParams(base=base, g_om=complex(*rng.uniform(-0.5, 0.5, 2)),
+                             gamma_cav=rng.uniform(1.0, 20.0))
+    return params, int(rng.integers(2, 4)), 2
+
+
+@pytest.mark.parametrize("three_mode", [False, True], ids=["two_mode", "three_mode"])
+def test_steady_state_matches_a_refined_dense_solve_at_random_points(three_mode):
+    rng = np.random.default_rng(1)
+    for _ in range(30):
+        params, mech_cutoff, cavity_cutoff = _random_point(rng, three_mode)
+        expected = _dense_refined_scalars(params, mech_cutoff, cavity_cutoff)
+        values, _, _ = solve_point(params, mech_cutoff, cavity_cutoff, tuple(expected))
+        for name, value in expected.items():
+            assert values[name] == pytest.approx(value, rel=1e-12, abs=0.0), (name, params)
 
 
 def test_fig9c_minus_g2_does_not_move_with_the_cutoff():
