@@ -27,6 +27,21 @@ def mean_occupation(rho_ss: DensityMatrix, b: Operator) -> float:
     return float(value.real)
 
 
+def relative_tail(rho_ss: DensityMatrix, b: Operator) -> float:
+    """Relative Fock tail |p_N| / p_2 of the boson mode with lowering operator b.
+
+    p_k is the mode's reduced population of level k, binned from diag(rho)
+    by each basis state's level, diag(b'b); N is the mode's top level.
+    Returns inf when p_2 is not positive, so an unpopulated two-quantum level
+    never reads as a small tail.
+    """
+    levels = np.rint(np.sum(np.abs(b.mat) ** 2, axis=0)).astype(np.intp)
+    pops = np.bincount(levels, weights=np.diag(rho_ss.mat).real)
+    if not pops[2] > 0.0:
+        return np.inf
+    return float(abs(pops[-1]) / pops[2])
+
+
 def g2_zero(rho_ss: DensityMatrix, b: Operator) -> float:
     """Equal-time normalized second-order correlation of the mode with
     lowering operator b.

@@ -91,9 +91,10 @@ EXPM_NORM_STEP = 10.0
 # Work budget: the most sub-steps one evolve call may take.
 MAX_SUBSTEPS = 100_000
 # Spaces whose Liouvillian basis, with its lowering operators and column
-# orders, stays cached: a sweep uses two (its cutoff and the cutoff + 2
-# re-solve), and so does a three-mode detect (the readout space and the
-# two-mode reference at mech cutoff + 2).
+# orders, stays cached: a sweep uses one, its cutoff, when every row's Fock
+# tail skips the re-solve and two with the cutoff + 2 re-solve; a three-mode
+# detect uses two (the readout space and the two-mode reference at mech
+# cutoff + 2).
 BASIS_CACHE_SIZE = 4
 # SuperLU options of every steady-state factorization, fresh or in a reused
 # order: prefer the diagonal pivot unless it is below 1% of its column's

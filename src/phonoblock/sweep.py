@@ -6,9 +6,17 @@ it resolves on construction; a spec with no axes is one point, the run of a
 CLI point command. Grid points are independent and are evaluated one after
 another in row-major axis order, so identical specs produce identical tables.
 :meth:`SweepSpec.params_at` gives the params of a point and :func:`solve_point`
-builds, solves and measures it, for sweep rows and point commands alike. Each
-row is re-solved with the mechanical cutoff raised by two and flagged
-converged only when its scalars change by less than 0.5%.
+builds, solves and measures it, for sweep rows and point commands alike.
+
+A row is flagged converged when its truncation cannot matter. The reported
+solve also measures the relative Fock tail |p_N| / p_2 of each truncated
+boson mode (the NAMR, and the cavity of the three-mode model). When every
+tail is below ``CONVERGENCE_TAIL_RTOL`` the row is converged as it stands.
+Otherwise it is re-solved with the mechanical cutoff raised by two and
+flagged converged only when its scalars change by less than 0.5%. The
+cavity cutoff is never raised: a large cavity tail only sends the row to the
+mechanical re-solve. The tail threshold is ten times below the smallest tail
+of any row the re-solve rejects in ``scripts/convergence_study.json``.
 
 Drives realizing an interference optimum are derived per point when
 ``delta_opt`` is set (either as a spec field or as the pseudo-axis
@@ -33,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analytics import OptimalRoots, optimal_drive_roots
-from .correlations import g2_tau, g2_zero, mean_occupation
+from .correlations import g2_tau, g2_zero, mean_occupation, relative_tail
 from .errors import ParameterError, PhonoblockError, SweepError
 from .model import (
     DetectionParams,
@@ -50,6 +58,9 @@ log = logging.getLogger(__name__)
 
 CONVERGENCE_RTOL = 5e-3
 CUTOFF_INCREMENT = 2
+# a row whose every truncated mode has |p_N| / p_2 below this skips the re-solve;
+# scripts/convergence_study.py measures the margin
+CONVERGENCE_TAIL_RTOL = 1e-4
 
 SCALAR_OUTPUTS = ("g2_zero", "n_b", "g2a_zero")
 ALL_OUTPUTS = SCALAR_OUTPUTS + ("g2_tau", "eta_phi_roots")
@@ -185,6 +196,8 @@ _SCALARS = {
     "g2a_zero": ("g2_zero", "a"),
     "n_a": ("mean_occupation", "a"),
     "qubit_excitation": ("mean_occupation", "q"),
+    "tail_m": ("relative_tail", "m"),
+    "tail_a": ("relative_tail", "a"),
 }
 
 
@@ -198,10 +211,11 @@ def solve_point(
     """Build, solve and measure one point; every sweep row and point command runs here.
 
     ``scalars`` names steady-state observables, measured in this order:
-    ``g2_zero``, ``n_b``, ``g2a_zero`` (photon g2), ``n_a`` and
-    ``qubit_excitation``. A ``None`` cutoff takes the model default. Returns
-    the scalars, the NAMR g2(tau) series on ``tau_grid`` (``None`` without a
-    grid) and the steady residual.
+    ``g2_zero``, ``n_b``, ``g2a_zero`` (photon g2), ``n_a``,
+    ``qubit_excitation``, and the relative Fock tails ``tail_m`` and
+    ``tail_a`` (see :func:`relative_tail`). A ``None`` cutoff takes the model
+    default. Returns the scalars, the NAMR g2(tau) series on ``tau_grid``
+    (``None`` without a grid) and the steady residual.
     """
     if not set(scalars) <= set(_SCALARS):
         raise ParameterError(f"unknown scalars in {list(scalars)} (valid: {list(_SCALARS)})")
@@ -209,7 +223,8 @@ def solve_point(
     space = model_space(params, mech_cutoff, cavity_cutoff)
     liou = assemble(params, space)
     rho = steady_state(liou)
-    observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation}
+    observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation,
+                   "relative_tail": relative_tail}
     ops = liouvillian_basis(space).lowering_ops
     values = {name: observables[obs](rho, ops[label]) for name, (obs, label) in wanted.items()}
     series = None
@@ -218,24 +233,25 @@ def solve_point(
     return values, series, steady_state_residual(liou, rho)
 
 
-def _timed(seconds: dict[str, float], stage: str, *solve_args):
-    """solve_point(*solve_args), its time added to ``seconds[stage]`` even when it raises."""
+def _timed(stats: dict[str, float], stage: str, *solve_args):
+    """solve_point(*solve_args), its time added to ``stats[stage]`` even when it raises."""
     start = time.perf_counter()
     try:
         return solve_point(*solve_args)
     finally:
-        seconds[stage] += time.perf_counter() - start
+        stats[stage] += time.perf_counter() - start
 
 
 def _evaluate_point(
     spec: SweepSpec,
     point: Mapping[str, float],
-    seconds: dict[str, float],
+    stats: dict[str, float],
 ) -> tuple[dict[str, float], float, str | None]:
     """Returns (cells, residual, error): the row's cells by column name, its
     steady residual and, for a failed point, the error, in which case the
     cells are its axis values alone. The time of the reported solve and of
-    the re-solve is added to ``seconds`` under ``steady_s`` and ``refine_s``."""
+    any re-solve is added to ``stats`` under ``steady_s`` and ``refine_s``,
+    and a re-solve counts one in ``refined_rows``."""
     cells: dict[str, float] = dict(point)
     try:
         params = spec.params_at(point)
@@ -247,17 +263,24 @@ def _evaluate_point(
             return {**cells, "converged": True}, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
-        scalars, series, residual = _timed(seconds, "steady_s", params, spec.mech_cutoff,
-                                           spec.cavity_cutoff, check_outputs, spec.tau_grid)
-        refined, _, _ = _timed(seconds, "refine_s", params, spec.mech_cutoff + CUTOFF_INCREMENT,
-                               spec.cavity_cutoff, check_outputs)
+        tails = ["tail_m"] if spec.cavity_cutoff is None else ["tail_m", "tail_a"]
+        scalars, series, residual = _timed(stats, "steady_s", params, spec.mech_cutoff,
+                                           spec.cavity_cutoff, check_outputs + tails,
+                                           spec.tau_grid)
+        # tails this small cannot move the checked values: no re-solve
+        converged = all(scalars[k] < CONVERGENCE_TAIL_RTOL for k in tails)
+        if not converged:
+            stats["refined_rows"] += 1
+            refined, _, _ = _timed(stats, "refine_s", params,
+                                   spec.mech_cutoff + CUTOFF_INCREMENT, spec.cavity_cutoff,
+                                   check_outputs)
+            converged = all(_rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL
+                            for k in check_outputs)
     except PhonoblockError as exc:
         return dict(point), math.nan, f"{type(exc).__name__}: {exc}"
     cells.update((k, v) for k, v in scalars.items() if k in spec.outputs)
     cells.update((f"g2_tau_{k:03d}", v) for k, v in enumerate(series or ()))
-    cells["converged"] = all(
-        _rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL for k in check_outputs
-    )
+    cells["converged"] = converged
     return cells, residual, None
 
 
@@ -296,21 +319,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axis_names = [name for name, _ in spec.axes]
     points = [dict(zip(axis_names, combo))
               for combo in itertools.product(*(vals for _, vals in spec.axes))]
-    seconds = {"steady_s": 0.0, "refine_s": 0.0}
+    stats = {"steady_s": 0.0, "refine_s": 0.0, "refined_rows": 0}
     n = len(points)
     columns = _empty_columns(spec, n)
     failures: list[tuple[int, str]] = []
     max_residual = 0.0
     for i, point in enumerate(points):
-        cells, residual, error = _evaluate_point(spec, point, seconds)
+        cells, residual, error = _evaluate_point(spec, point, stats)
         for name, value in cells.items():
             columns[name][i] = value
         if error is not None:
             failures.append((i, error))
         elif math.isfinite(residual):
             max_residual = max(max_residual, residual)
-    log.debug("%d points: %.3fs reported solves, %.3fs re-solves",
-              n, seconds["steady_s"], seconds["refine_s"])
+    log.debug("%d points: %.3fs reported solves, %d of them re-solved, %.3fs re-solves",
+              n, stats["steady_s"], stats["refined_rows"], stats["refine_s"])
     if len(failures) == n:
         raise SweepError(
             f"all {n} grid points failed; first error: {failures[0][1]}"
@@ -328,13 +351,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         "cavity_cutoff": spec.cavity_cutoff,
         "convergence_cutoff_increment": CUTOFF_INCREMENT,
         "convergence_rtol": CONVERGENCE_RTOL,
+        "convergence_tail_rtol": CONVERGENCE_TAIL_RTOL,
         "tau_grid": list(spec.tau_grid) if spec.tau_grid else None,
         "delta_opt": spec.delta_opt,
         "root_branch": spec.root_branch,
         "rows": n,
         "failures": failures,
         "max_steady_residual": max_residual,
-        **seconds,
+        **stats,
         "wall_time_s": time.perf_counter() - start,
     }
     return SweepResult(columns=columns, metadata=metadata)

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
-from phonoblock.correlations import g2_tau, g2_zero, mean_occupation
+from phonoblock.correlations import g2_tau, g2_zero, mean_occupation, relative_tail
 from phonoblock.errors import UnpopulatedModeError
-from phonoblock.hilbert import fock_dm, lowering
-from phonoblock.model import MqParams, build_h_mq, collapse_ops, two_mode_space
+from phonoblock.hilbert import DensityMatrix, fock_dm, lowering
+from phonoblock.model import (
+    MqParams,
+    build_h_mq,
+    collapse_ops,
+    three_mode_space,
+    two_mode_space,
+)
 from phonoblock.solver import build_liouvillian, steady_state
 
 
@@ -31,6 +37,26 @@ def test_interference_blockade_depth():
     space, _, rho = _solve(MqParams(delta=0.0, j=1 / np.sqrt(2), eps=0.01))
     g2 = g2_zero(rho, lowering(space, "m"))
     assert 0.0015 <= g2 <= 0.006
+
+
+def test_relative_tail_reads_each_modes_reduced_populations():
+    # a product of diagonal states: the mode's reduced populations are its own
+    space = three_mode_space(2, 4)
+    pops = {"a": np.array([0.9, 0.09, 0.01]), "q": np.array([0.7, 0.3]),
+            "m": np.array([0.5, 0.3, 0.1, 0.07, 0.03])}
+    diag = np.array([1.0])
+    for f in space.factors:
+        diag = np.kron(diag, pops[f.label])
+    rho = DensityMatrix(space, np.diag(diag).astype(complex))
+    assert relative_tail(rho, lowering(space, "m")) == pytest.approx(0.03 / 0.1, rel=1e-14)
+    assert relative_tail(rho, lowering(space, "a")) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_relative_tail_is_infinite_without_two_quanta():
+    space = two_mode_space(4)
+    b = lowering(space, "m")
+    assert relative_tail(fock_dm(space, {"m": 1}), b) == np.inf
+    assert relative_tail(fock_dm(space, {"m": 2}), b) == 0.0
 
 
 def test_unpopulated_mode_guard():

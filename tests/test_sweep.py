@@ -1,9 +1,11 @@
 """Grid engine: ordering, determinism, failure markers, and presets."""
 
+import json
 import logging
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from phonoblock.sweep import (
 )
 
 WEAK = MqParams(eps=0.01)
+STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.json"
 
 
 def test_grid_rows_in_row_major_order():
@@ -198,16 +201,29 @@ def test_convergence_flag_detects_undertrunction():
         fixed=MqParams(j=0.0, eps=0.5),
         mech_cutoff=2,
     )
+    # p_2 = p_N: the tail is 1, so the row is re-solved
     result = run_sweep(spec)
     assert not result.columns["converged"][0]
+    assert result.metadata["refined_rows"] == 1
+
+
+def test_vacuum_row_re_solves():
+    # no drive and no bath: p_2 = 0, so no tail is small and the row re-solves
+    spec = SweepSpec(axes=(("delta", (0.0,)),), fixed=MqParams(eps=0.0, omega_drv=0.0, n_th=0.0),
+                     outputs=("n_b",))
+    result = run_sweep(spec)
+    assert result.metadata["refined_rows"] == 1 and result.metadata["refine_s"] > 0.0
+    assert result.columns["n_b"][0] == 0.0 and result.columns["converged"][0]
 
 
 def test_metadata_contents(caplog):
+    # weak drive at cutoff 8: the tail is about 1e-26, so neither row re-solves
     spec = SweepSpec(axes=(("delta", (0.0, 1.0)),), fixed=replace(WEAK, j=1.0))
     with caplog.at_level(logging.DEBUG, logger="phonoblock"):
         result = run_sweep(spec)
     [line] = [r.getMessage() for r in caplog.records if r.name == "phonoblock.sweep"]
     assert line.startswith("2 points: ") and line.endswith("s re-solves")
+    assert ", 0 of them re-solved, " in line
     meta = result.metadata
     assert meta["rows"] == 2
     assert meta["model"] == "two_mode"
@@ -215,20 +231,74 @@ def test_metadata_contents(caplog):
     assert meta["axes"][0]["name"] == "delta"
     assert meta["max_steady_residual"] >= 0.0
     assert meta["fixed_params"]["j"] == 1.0
+    assert meta["convergence_rtol"] == sweep.CONVERGENCE_RTOL
+    assert meta["convergence_tail_rtol"] == sweep.CONVERGENCE_TAIL_RTOL
+    assert meta["refined_rows"] == 0 and meta["refine_s"] == 0.0
+    assert 0.0 < meta["steady_s"] <= meta["wall_time_s"]
+
+
+def test_metadata_times_the_re_solves_it_runs():
+    # the strong drive of the first row fills the top level; the weak second row skips
+    spec = SweepSpec(axes=(("eps", (1.0, 0.01)),), fixed=MqParams(j=0.71), mech_cutoff=4)
+    result = run_sweep(spec)
+    meta = result.metadata
+    assert meta["refined_rows"] == 1
     assert 0.0 < meta["steady_s"] and 0.0 < meta["refine_s"]
     assert meta["steady_s"] + meta["refine_s"] <= meta["wall_time_s"]
 
 
+@pytest.mark.parametrize("mech_cutoff", [3, 4, 5, 6])
+def test_converged_matches_an_independent_cutoff_plus_two_verdict(mech_cutoff):
+    # fig6b's drive scan at lowered cutoffs holds rows the tail rule skips and
+    # rows it re-solves; every flag must be the N versus N + 2 verdict
+    preset = figure_panels("fig6b")["fig6b"]
+    spec = replace(preset, axes=(("eps", preset.axes[0][1][::10]),), mech_cutoff=mech_cutoff)
+    result = run_sweep(spec)
+    outputs = ("g2_zero", "n_b")
+    for i, eps in enumerate(result.columns["eps"]):
+        params = spec.params_at({"eps": eps})
+        low, high = (solve_point(params, n, None, outputs)[0]
+                     for n in (mech_cutoff, mech_cutoff + sweep.CUTOFF_INCREMENT))
+        verdict = all(abs(high[k] - low[k]) < sweep.CONVERGENCE_RTOL * abs(low[k])
+                      for k in outputs)
+        assert result.columns["converged"][i] == verdict, (mech_cutoff, eps)
+    # at cutoff 3 no tail is small; above it, the weakest drives skip
+    refined = result.metadata["refined_rows"]
+    assert 0 < refined and (refined < result.n_rows or mech_cutoff == 3)
+
+
+def test_convergence_study_supports_the_tail_threshold():
+    study = json.loads(STUDY.read_text())
+    tau = sweep.CONVERGENCE_TAIL_RTOL
+    assert study["convergence_tail_rtol"] == tau
+    assert study["convergence_rtol"] == sweep.CONVERGENCE_RTOL
+    solving = {name for name, spec in sweep._PRESETS.items() if spec.outputs != ("eta_phi_roots",)}
+    tables = study["tables"]
+    assert {t["preset"] for t in tables if t["default"]} == solving | {"criterion7"}
+    assert {t["preset"] for t in tables if t["mech_cutoff"] == 3} == solving | {"criterion7"}
+    for t in tables:
+        # no row below the threshold is one the re-solve rejects
+        if t["min_rejected_tail"] is not None:
+            assert t["min_rejected_tail"] >= tau, t
+        if t["max_skipped_change"] is not None:
+            assert t["max_skipped_change"] < sweep.CONVERGENCE_RTOL, t
+    rejected = [t["min_rejected_tail"] for t in tables if t["min_rejected_tail"] is not None]
+    assert rejected and tau <= min(rejected) / 10
+    assert study["summary"]["min_rejected_tail"] == min(rejected)
+
+
 def test_tables_depend_on_neither_cache_state_nor_point_order():
     # n_th = 0 drops the thermal channels' entries, so the grid has two
-    # trace-row patterns, and each run meets their first points in its own order
+    # trace-row patterns, and each run meets their first points in its own order;
+    # at cutoff 3 every row's Fock tail is above the skip threshold, so each
+    # row also re-solves at cutoff 5
     fixed = MqParams(j=3.0, eps=0.2, omega_drv=0.1, phi=0.3)
     axes = (("n_th", (0.0, 0.01)), ("delta", (-1.0, 2.0)))
     outputs = ("g2_zero", "n_b", "converged")
 
     def by_point(axes):
         cols = run_sweep(SweepSpec(axes=axes, fixed=fixed, outputs=outputs[:2],
-                                   mech_cutoff=5)).columns
+                                   mech_cutoff=3)).columns
         return {(cols["n_th"][i], cols["delta"][i]): tuple(cols[k][i].tobytes() for k in outputs)
                 for i in range(len(cols["n_th"]))}
 
@@ -244,7 +314,7 @@ def test_tables_depend_on_neither_cache_state_nor_point_order():
 # the fixed params and cutoff of the cache-state test above, over the two
 # trace-row patterns of n_th = 0 and n_th > 0
 _TWO_PATTERNS = SweepSpec(axes=(("n_th", (0.0, 0.01)),),
-                          fixed=MqParams(j=3.0, eps=0.2, omega_drv=0.1, phi=0.3), mech_cutoff=5)
+                          fixed=MqParams(j=3.0, eps=0.2, omega_drv=0.1, phi=0.3), mech_cutoff=3)
 
 
 def test_each_new_column_order_is_logged_once(caplog):
@@ -256,7 +326,7 @@ def test_each_new_column_order_is_logged_once(caplog):
                    for r in caplog.records)
 
     liouvillian_basis.cache_clear()
-    assert new_orders() == 4  # 2 patterns x (cutoff 5, cutoff 7)
+    assert new_orders() == 4  # 2 patterns x (cutoff 3, cutoff 5)
     assert new_orders() == 0
 
 
