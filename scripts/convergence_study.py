@@ -92,8 +92,8 @@ class Solver:
         if key in self.cache:
             return self.cache[key]
         three_mode = cavity is not None
-        names = ("g2_zero", "n_b", "g2a_zero", "tail_m", "tail_a") if three_mode \
-            else ("g2_zero", "n_b", "tail_m")
+        names = (("g2_zero", "n_b", "g2a_zero", "tail_m", "tail_a") if three_mode
+                 else ("g2_zero", "n_b", "tail_m"))
         try:
             values = solve_point(params, mech, cavity, names)[0]
         except PhonoblockError:
