@@ -60,14 +60,7 @@ from .model import (
     two_mode_space,
     with_two_drive_optimum,
 )
-from .solver import (
-    Liouvillian,
-    build_liouvillian,
-    evolve,
-    steady_state,
-    trace_distance,
-    trace_preservation_residual,
-)
+from .solver import Liouvillian, evolve, steady_state
 from .sweep import (
     SweepResult,
     SweepSpec,

@@ -16,9 +16,9 @@ in :mod:`phonoblock.model`): with H = sum_k c_k G_k, every G_k and every jump
 operator gives one fixed superoperator. :func:`liouvillian_basis` builds
 them once per Hilbert space on one shared CSR pattern, so :func:`assemble`
 makes each point's L with one sparse product, ``basis @ coeffs``, equal bit
-for bit to the direct Kronecker builder :func:`build_liouvillian`. That
-builder takes arbitrary operators and is the reference the basis is tested
-against.
+for bit to the formula above built from Kronecker products. That direct
+builder, for arbitrary operators, is the reference the basis is tested
+against; it lives in the test suite, in ``tests/oracle.py``.
 
 The steady state is the one-dimensional kernel of L, found by replacing one
 row of L with the vectorized trace functional (spliced into the CSR arrays)
@@ -111,12 +111,12 @@ class Liouvillian:
     """Sparse master-equation generator on the vectorized state space.
 
     ``orders`` holds the column orders :func:`steady_state` finds: those of
-    the generator's basis when assembled from one, else a map of its own.
+    the basis the generator was assembled from.
     """
 
     space: HilbertSpace
     matrix: sp.csr_matrix
-    orders: _Orders = field(default_factory=dict)
+    orders: _Orders
 
     @property
     def dim(self) -> int:
@@ -151,33 +151,6 @@ def _require_hermitian(h: Operator) -> None:
         raise StateValidityError(
             f"Hamiltonian Hermiticity defect {defect:.3e} exceeds {HERMITIAN_INPUT_TOL}"
         )
-
-
-def build_liouvillian(
-    h: Operator, collapses: Sequence[tuple[float, Operator]]
-) -> Liouvillian:
-    """Assemble the generator from a Hamiltonian and (rate, operator) pairs.
-
-    This is the direct Kronecker-product builder for any operators; model
-    points go through :func:`assemble`, which reproduces it bit for bit.
-
-    Raises
-    ------
-    SpaceMismatchError
-        If any operator lives on a different space than the Hamiltonian.
-    StateValidityError
-        If the Hamiltonian is not Hermitian within tolerance.
-    """
-    _require_hermitian(h)
-    space = h.space
-    eye = sp.identity(space.total_dim, dtype=complex, format="csr")
-    hs = sp.csr_matrix(h.mat)
-    lio = -1j * (sp.kron(eye, hs, format="csr") - sp.kron(hs.T, eye, format="csr"))
-    for rate, op in collapses:
-        if op.space != space:
-            raise SpaceMismatchError("collapse operator on a different space")
-        lio = lio + rate * _dissipator(sp.csr_matrix(op.mat), eye)
-    return Liouvillian(space, lio.tocsr())
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,19 +229,6 @@ def assemble(p: MqParams | DetectionParams, space: HilbertSpace) -> Liouvillian:
     """Generator of the params' model on ``space``: one product of the space's
     cached basis with the params' term coefficients."""
     return liouvillian_basis(space).assemble(*term_coefficients(p, space))
-
-
-def apply(liou: Liouvillian, rho_mat: np.ndarray) -> np.ndarray:
-    """Action of the generator on a state, returned in matrix form."""
-    return unvec(liou.matrix @ vec(rho_mat), liou.dim)
-
-
-def trace_preservation_residual(liou: Liouvillian) -> float:
-    """Max-norm of vec(I)^T L; zero for a trace-preserving generator."""
-    d = liou.dim
-    tr = np.zeros(d * d, dtype=complex)
-    tr[:: d + 1] = 1.0
-    return float(np.max(np.abs(liou.matrix.T @ tr)))
 
 
 def _with_trace_row(
@@ -457,11 +417,3 @@ def evolve(
             raise EvolutionError(f"trace drift {drift:.3e} at t = {t} exceeds tolerance")
         out.append(DensityMatrix(liou.space, snapshot))
     return out
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference of two states."""
-    if a.space != b.space:
-        raise SpaceMismatchError("states on different spaces")
-    diff = a.mat - b.mat
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))

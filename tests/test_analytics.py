@@ -18,16 +18,15 @@ from phonoblock.analytics import (
 from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SingularSystemError
 from phonoblock.hilbert import lowering
-from phonoblock.model import MqParams, build_h_mq, collapse_ops, two_mode_space
-from phonoblock.solver import build_liouvillian, steady_state
+from phonoblock.model import MqParams
+from oracle import model_steady_state
 
 RNG = np.random.default_rng(424242)
 
 
-def _full_g2(p, cutoff=8):
-    space = two_mode_space(cutoff)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
-    return g2_zero(steady_state(liou), lowering(space, "m"))
+def _full_g2(p):
+    space, _, rho = model_steady_state(p)
+    return g2_zero(rho, lowering(space, "m"))
 
 
 def test_coefficients_vanish_at_no_drive_optimum():

@@ -6,35 +6,23 @@ import pytest
 from phonoblock.correlations import g2_tau, g2_zero, mean_occupation, relative_tail
 from phonoblock.errors import UnpopulatedModeError
 from phonoblock.hilbert import DensityMatrix, fock_dm, lowering
-from phonoblock.model import (
-    MqParams,
-    build_h_mq,
-    collapse_ops,
-    three_mode_space,
-    two_mode_space,
-)
-from phonoblock.solver import build_liouvillian, steady_state
-
-
-def _solve(p, cutoff=8):
-    space = two_mode_space(cutoff)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
-    return space, liou, steady_state(liou)
+from phonoblock.model import MqParams, three_mode_space, two_mode_space
+from oracle import model_steady_state
 
 
 def test_coherent_fixed_point_is_poissonian():
-    space, _, rho = _solve(MqParams(j=0.0, eps=0.3))
+    space, _, rho = model_steady_state(MqParams(j=0.0, eps=0.3))
     assert g2_zero(rho, lowering(space, "m")) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_thermal_fixed_point_is_bunched():
-    space, _, rho = _solve(MqParams(j=0.0, eps=0.0, n_th=0.2), cutoff=12)
+    space, _, rho = model_steady_state(MqParams(j=0.0, eps=0.0, n_th=0.2), 12)
     assert g2_zero(rho, lowering(space, "m")) == pytest.approx(2.0, abs=1e-4)
 
 
 def test_interference_blockade_depth():
     # moderate coupling at the no-qubit-drive optimum: g2 around 0.003
-    space, _, rho = _solve(MqParams(delta=0.0, j=1 / np.sqrt(2), eps=0.01))
+    space, _, rho = model_steady_state(MqParams(delta=0.0, j=1 / np.sqrt(2), eps=0.01))
     g2 = g2_zero(rho, lowering(space, "m"))
     assert 0.0015 <= g2 <= 0.006
 
@@ -60,13 +48,13 @@ def test_relative_tail_is_infinite_without_two_quanta():
 
 
 def test_unpopulated_mode_guard():
-    space, _, rho = _solve(MqParams(j=1.0, eps=0.0, n_th=0.0))
+    space, _, rho = model_steady_state(MqParams(j=1.0, eps=0.0, n_th=0.0))
     with pytest.raises(UnpopulatedModeError):
         g2_zero(rho, lowering(space, "m"))
 
 
 def test_mean_occupation_examples():
-    space, _, rho = _solve(MqParams(j=0.0, eps=0.3))
+    space, _, rho = model_steady_state(MqParams(j=0.0, eps=0.3))
     assert mean_occupation(rho, lowering(space, "m")) == pytest.approx(0.36, abs=1e-6)
     vac = fock_dm(space)
     assert mean_occupation(vac, lowering(space, "m")) == 0.0
@@ -78,14 +66,14 @@ def test_g2_tau_boundary_matches_equal_time():
         MqParams(delta=10.0, j=10.0, eps=0.01),
         MqParams(delta=1.0, j=2.0, eps=0.05, omega_drv=0.03, phi=0.7),
     ):
-        space, liou, rho = _solve(p)
+        space, liou, rho = model_steady_state(p)
         b = lowering(space, "m")
         series = g2_tau(liou, rho, b, [0.0, 0.5])
         assert series[0][1] == pytest.approx(g2_zero(rho, b), abs=1e-8)
 
 
 def test_g2_tau_coherent_case_flat():
-    space, liou, rho = _solve(MqParams(j=0.0, eps=0.3))
+    space, liou, rho = model_steady_state(MqParams(j=0.0, eps=0.3))
     b = lowering(space, "m")
     for _, value in g2_tau(liou, rho, b, [0.0, 1.0, 3.0, 10.0]):
         assert value == pytest.approx(1.0, abs=1e-6)
@@ -94,7 +82,7 @@ def test_g2_tau_coherent_case_flat():
 def test_g2_tau_blockade_recovers_on_phonon_lifetime():
     # strong-coupling blockade point: antibunched at zero delay, decorrelated
     # after a few phonon lifetimes (2 pi / kappa scale)
-    space, liou, rho = _solve(MqParams(delta=10.0, j=10.0, eps=0.01))
+    space, liou, rho = model_steady_state(MqParams(delta=10.0, j=10.0, eps=0.01))
     b = lowering(space, "m")
     taus = [0.0, 2 * np.pi, 3 * 2 * np.pi]
     series = dict(g2_tau(liou, rho, b, taus))
@@ -105,12 +93,13 @@ def test_g2_tau_blockade_recovers_on_phonon_lifetime():
 
 def test_g2_even_in_detuning_without_qubit_drive():
     for delta in (0.3, 2.0, 10.0):
-        space, _, rho_p = _solve(MqParams(delta=delta, j=10.0, eps=0.01))
-        _, _, rho_m = _solve(MqParams(delta=-delta, j=10.0, eps=0.01))
+        space, _, rho_p = model_steady_state(MqParams(delta=delta, j=10.0, eps=0.01))
+        _, _, rho_m = model_steady_state(MqParams(delta=-delta, j=10.0, eps=0.01))
         b = lowering(space, "m")
         assert g2_zero(rho_p, b) == pytest.approx(g2_zero(rho_m, b), abs=1e-6)
 
 
 def test_g2_nonnegative_and_real():
-    space, _, rho = _solve(MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.62, phi=0.21))
+    p = MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.62, phi=0.21)
+    space, _, rho = model_steady_state(p)
     assert g2_zero(rho, lowering(space, "m")) >= 0.0

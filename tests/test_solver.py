@@ -14,7 +14,6 @@ from phonoblock.errors import (
     SteadyStateError,
 )
 from phonoblock.hilbert import (
-    DensityMatrix,
     Operator,
     check_state,
     expectation,
@@ -27,27 +26,26 @@ from phonoblock import solver
 from phonoblock.model import (
     DetectionParams,
     MqParams,
-    build_h_mq,
-    build_h_total,
-    collapse_ops,
     model_space,
     three_mode_space,
     two_mode_space,
 )
 from phonoblock.solver import (
     BASIS_CACHE_SIZE,
-    Liouvillian,
     LiouvillianBasis,
-    apply,
     assemble,
-    build_liouvillian,
     liouvillian_basis,
     evolve,
     steady_state,
-    trace_distance,
-    trace_preservation_residual,
     unvec,
     vec,
+)
+from oracle import (
+    apply,
+    build_liouvillian,
+    model_liouvillian,
+    trace_distance,
+    trace_preservation_residual,
 )
 
 RNG = np.random.default_rng(7)
@@ -164,9 +162,7 @@ def _random_model_point():
 
 
 def _assert_matches_kron(liou, params, mech_cutoff, cavity_cutoff):
-    space = model_space(params, mech_cutoff, cavity_cutoff)
-    build_h = build_h_total if isinstance(params, DetectionParams) else build_h_mq
-    kron = build_liouvillian(build_h(params, space), collapse_ops(params, space)).matrix
+    kron = model_liouvillian(params, model_space(params, mech_cutoff, cavity_cutoff)).matrix
     np.testing.assert_array_equal(liou.matrix.indptr, kron.indptr)
     np.testing.assert_array_equal(liou.matrix.indices, kron.indices)
     # the basis rounds every entry as the Kronecker builder does
@@ -338,7 +334,7 @@ def test_kron_built_liouvillian_factors_with_fresh_minimum_degree_order(monkeypa
     # the basis now holds this pattern's order; a Kronecker-built L must not see it
     steady_state(assemble(params, space))
     for _ in range(2):
-        liou = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space))
+        liou = model_liouvillian(params, space)
         assert liou.orders == {}
         steady_state(liou)
         assert factorizations[-1][0] == "MMD_AT_PLUS_A"
@@ -357,7 +353,7 @@ def test_basis_lowering_operators_are_read_only_and_exact():
 def test_steady_state_vacuum_fixed_point():
     space = two_mode_space()
     p = MqParams(delta=0.5, j=1.0, eps=0.0, n_th=0.0)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     rho = steady_state(liou)
     assert np.max(np.abs(rho.mat - fock_dm(space).mat)) < 1e-9
 
@@ -367,7 +363,7 @@ def test_steady_state_driven_damped_oscillator():
     # state of amplitude 2 eps / gamma.
     space = two_mode_space()
     p = MqParams(delta=0.0, j=0.0, eps=0.3, gamma=1.0, n_th=0.0)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     rho = steady_state(liou)
     n_b = expectation(rho, number(space, "m")).real
     assert n_b == pytest.approx((2 * 0.3 / 1.0) ** 2, abs=1e-6)
@@ -376,7 +372,7 @@ def test_steady_state_driven_damped_oscillator():
 def test_steady_state_detailed_balance_thermal():
     space = two_mode_space(10)
     p = MqParams(j=0.0, eps=0.0, n_th=0.2)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     rho = steady_state(liou)
     assert expectation(rho, number(space, "m")).real == pytest.approx(0.2, abs=1e-6)
 
@@ -410,7 +406,7 @@ def test_evolve_exponential_decay():
 def test_evolve_reaches_steady_state():
     space = two_mode_space()
     p = MqParams(delta=0.0, j=1.0 / np.sqrt(2.0), eps=0.01)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     target = steady_state(liou)
     final = evolve(fock_dm(space, {"m": 1}), liou, [30.0])[-1]
     assert trace_distance(final, target) < 1e-6
@@ -419,7 +415,7 @@ def test_evolve_reaches_steady_state():
 def test_steady_state_is_fixed_point_of_evolve():
     space = two_mode_space()
     p = MqParams(delta=10.0, j=10.0, eps=0.01)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     rho = steady_state(liou)
     evolved = evolve(rho, liou, [10.0])[-1]
     assert trace_distance(evolved, rho) < 1e-10
@@ -439,7 +435,7 @@ def test_evolve_matches_dense_exponential():
 def test_evolve_leaves_initial_state_untouched():
     space = two_mode_space()
     p = MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.6, phi=0.2)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     rho0 = fock_dm(space, {"m": 1})
     before = rho0.mat.copy()
     evolve(rho0, liou, [0.5, 2.0])
@@ -449,7 +445,7 @@ def test_evolve_leaves_initial_state_untouched():
 def test_evolve_is_bit_reproducible():
     space = two_mode_space()
     p = MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.6, phi=0.2)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     times = np.linspace(0.0, 6.0, 13)
     first = evolve(fock_dm(space, {"m": 1}), liou, times)
     second = evolve(fock_dm(space, {"m": 1}), liou, times)
@@ -463,7 +459,7 @@ def test_g2_tau_leaves_global_rng_untouched():
     # randomized norm estimator.
     space = two_mode_space()
     p = MqParams(delta=10.0, j=10.0, eps=0.01)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     rho = steady_state(liou)
     np.random.seed(1234)
     before = np.random.get_state()
@@ -477,7 +473,7 @@ def test_g2_tau_leaves_global_rng_untouched():
 def test_evolved_states_remain_valid():
     space = two_mode_space()
     p = MqParams(delta=3.0, j=3.0, eps=0.2, omega_drv=0.6, phi=0.2)
-    liou = build_liouvillian(build_h_mq(p, space), collapse_ops(p, space))
+    liou = model_liouvillian(p, space)
     for state in evolve(fock_dm(space), liou, [0.0, 0.5, 2.0, 8.0]):
         check_state(state)
 

@@ -9,22 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from phonoblock import sweep
 from phonoblock.analytics import optimal_drive_roots
-from phonoblock.correlations import g2_zero, mean_occupation
+from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SweepError
-from phonoblock.hilbert import DensityMatrix, expectation, lowering
-from phonoblock.model import (
-    DetectionParams,
-    MqParams,
-    build_h_mq,
-    build_h_total,
-    collapse_ops,
-    model_space,
-)
-from phonoblock.solver import build_liouvillian, liouvillian_basis, steady_state, unvec
+from phonoblock.hilbert import expectation, lowering
+from phonoblock.model import DetectionParams, MqParams
+from phonoblock.solver import liouvillian_basis
 from phonoblock.sweep import (
     SweepSpec,
     figure_names,
@@ -32,6 +24,7 @@ from phonoblock.sweep import (
     run_sweep,
     solve_point,
 )
+from oracle import model_steady_state, refined_dense_scalars
 
 WEAK = MqParams(eps=0.01)
 STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.json"
@@ -432,8 +425,7 @@ def test_solve_point_measures_the_named_modes():
     values, series, residual = solve_point(
         params, 3, 2, ("qubit_excitation", "g2a_zero", "n_a", "n_b", "g2_zero"), (0.0, 0.5)
     )
-    space = model_space(params, 3, 2)
-    rho = steady_state(build_liouvillian(build_h_total(params, space), collapse_ops(params, space)))
+    space, _, rho = model_steady_state(params, 3, 2)
     a, b, sm = (lowering(space, label) for label in ("a", "m", "q"))
     assert values == {
         "g2_zero": g2_zero(rho, b),
@@ -458,41 +450,13 @@ def _preset_point(name: str, index: int) -> tuple[MqParams, int | None]:
     return spec.params_at({axis: values[index]}), spec.mech_cutoff
 
 
-def _dense_refined_scalars(params: MqParams | DetectionParams, mech_cutoff: int | None,
-                           cavity_cutoff: int | None) -> dict[str, float]:
-    """g2_zero, n_b and, with a cavity, g2a_zero of the Kronecker-built
-    generator's steady state, by dense LU with three steps of iterative
-    refinement on a long-double residual."""
-    space = model_space(params, mech_cutoff, cavity_cutoff)
-    d = space.total_dim
-    a = build_liouvillian(build_h_mq(params, space), collapse_ops(params, space)).matrix.toarray()
-    a[0, :] = 0.0
-    a[0, :: d + 1] = 1.0
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = 1.0
-    lu = scipy.linalg.lu_factor(a)
-    x = scipy.linalg.lu_solve(lu, b)
-    a_long = a.astype(np.clongdouble)
-    for _ in range(3):
-        residual = b - a_long @ x.astype(np.clongdouble)
-        x = x + scipy.linalg.lu_solve(lu, residual.astype(complex))
-    rho = unvec(x, d)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = DensityMatrix(space, rho / np.trace(rho).real)
-    b = lowering(space, "m")
-    scalars = {"g2_zero": g2_zero(rho, b), "n_b": mean_occupation(rho, b)}
-    if cavity_cutoff is not None:
-        scalars["g2a_zero"] = g2_zero(rho, lowering(space, "a"))
-    return scalars
-
-
 # the point of each preset where a COLAMD, partial-pivoting factorization
 # lost most: 7.9e-6, 1.4e-5 and 2.3e-7 relative in g2
 @pytest.mark.parametrize("preset, index", [("fig5d", 3), ("fig6b", 1), ("fig9c_minus", 0)])
 def test_g2_matches_a_refined_dense_solve(preset, index):
     params, cutoff = _preset_point(preset, index)
     values, _, _ = solve_point(params, cutoff, None, ("g2_zero",))
-    expected = _dense_refined_scalars(params, cutoff, None)["g2_zero"]
+    expected = refined_dense_scalars(params, cutoff, None)["g2_zero"]
     assert values["g2_zero"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -515,7 +479,7 @@ def test_steady_state_matches_a_refined_dense_solve_at_random_points(three_mode)
     rng = np.random.default_rng(1)
     for _ in range(30):
         params, mech_cutoff, cavity_cutoff = _random_point(rng, three_mode)
-        expected = _dense_refined_scalars(params, mech_cutoff, cavity_cutoff)
+        expected = refined_dense_scalars(params, mech_cutoff, cavity_cutoff)
         values, _, _ = solve_point(params, mech_cutoff, cavity_cutoff, tuple(expected))
         for name, value in expected.items():
             assert values[name] == pytest.approx(value, rel=1e-12, abs=0.0), (name, params)
