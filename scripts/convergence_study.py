@@ -25,6 +25,7 @@ The committed ``scripts/convergence_study.json`` is the full run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -35,13 +36,15 @@ from pathlib import Path
 import numpy as np
 
 from phonoblock.errors import PhonoblockError
-from phonoblock.model import DetectionParams, MqParams
+from phonoblock.model import DetectionParams, MqParams, model_space
 from phonoblock.sweep import (
     CONVERGENCE_RTOL,
     CONVERGENCE_TAIL_RTOL,
     CUTOFF_INCREMENT,
+    SCALAR_OUTPUTS,
     SweepSpec,
     _PRESETS,
+    _SCALARS,
     _rel_change,
     solve_point,
 )
@@ -80,30 +83,21 @@ def study_cutoffs(spec: SweepSpec) -> list[int]:
     return [*lowered, spec.mech_cutoff]
 
 
-class Solver:
-    """solve_point with the values this study reads; three-mode solves, the
-    costly ones, are cached, since fig11a, fig11b and criterion 7 share rows."""
-
-    def __init__(self) -> None:
-        self.cache: dict = {}
-
-    def __call__(self, params, mech: int, cavity: int | None) -> dict[str, float] | None:
-        key = (params, mech, cavity)
-        if key in self.cache:
-            return self.cache[key]
-        three_mode = cavity is not None
-        names = (("g2_zero", "n_b", "g2a_zero", "tail_m", "tail_a") if three_mode
-                 else ("g2_zero", "n_b", "tail_m"))
-        try:
-            values = solve_point(params, mech, cavity, names)[0]
-        except PhonoblockError:
-            values = None
-        if three_mode:
-            self.cache[key] = values
-        return values
+# fig11a, fig11b and criterion 7 share rows; the solves between them fit this cache
+@functools.lru_cache(maxsize=4096)
+def solve(params, mech: int, cavity: int | None) -> dict[str, float] | None:
+    """The checked scalars and the tail of each truncated mode, on the space
+    of the params' model at these cutoffs; None when the solve fails."""
+    space = model_space(params, mech, cavity)
+    names = [name for name in SCALAR_OUTPUTS if _SCALARS[name][1] in space.labels]
+    tails = [f"tail_{f.label}" for f in space.factors if f.kind == "boson"]
+    try:
+        return solve_point(params, space, names + tails)[0]
+    except PhonoblockError:
+        return None
 
 
-def row_verdicts(spec: SweepSpec, cutoffs: list[int], solve: Solver) -> list[dict]:
+def row_verdicts(spec: SweepSpec, cutoffs: list[int]) -> list[dict]:
     """Per row, per cutoff N: (tail at N, largest change from N to N + 2),
     or None when either solve failed. Rows are solved one cutoff at a time,
     so each space's cached basis serves every row before the next is built."""
@@ -164,12 +158,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=OUT)
     args = parser.parse_args(argv)
     specs = solving_specs(args.presets.split(",") if args.presets else None)
-    solve = Solver()
     tables = []
     for preset, spec in specs.items():
         start = time.perf_counter()
         cutoffs = study_cutoffs(spec)
-        rows = row_verdicts(spec, cutoffs, solve)
+        rows = row_verdicts(spec, cutoffs)
         for n in cutoffs:
             tables.append(summarize(preset, spec, n, [r[n] for r in rows]))
         print(f"{preset}: {len(rows)} rows at mech cutoffs {cutoffs}, "
@@ -181,7 +174,7 @@ def main(argv=None) -> int:
         "convergence_rtol": CONVERGENCE_RTOL,
         "convergence_tail_rtol": CONVERGENCE_TAIL_RTOL,
         "cutoff_increment": CUTOFF_INCREMENT,
-        "checked": ["g2_zero", "n_b", "g2a_zero"],
+        "checked": list(SCALAR_OUTPUTS),
         "summary": {
             "rows": sum(t["rows"] for t in tables),
             "failed": sum(t["failed"] for t in tables),

@@ -11,6 +11,7 @@ from .analytics import (
     EffectiveMechParams,
     OptimalRoots,
     PerturbativeAmplitudes,
+    device_preset,
     effective_mech_params,
     no_qubit_drive_optimum,
     optimal_coefficients,
@@ -19,6 +20,7 @@ from .analytics import (
     quadratic_residual,
     thermal_occupation,
     two_drive_settings,
+    with_two_drive_optimum,
 )
 from .correlations import g2_tau, g2_zero, mean_occupation
 from .errors import (
@@ -54,11 +56,9 @@ from .model import (
     build_h_mq,
     build_h_total,
     collapse_ops,
-    device_preset,
     dressed_spectrum,
     three_mode_space,
     two_mode_space,
-    with_two_drive_optimum,
 )
 from .solver import Liouvillian, evolve, steady_state
 from .sweep import (

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, SingularSystemError
-from .model import MqParams, _require_finite, _require_nonneg, _require_positive, wrap_phase
+from .model import (DetectionParams, MqParams, _require_finite, _require_nonneg,
+                    _require_positive, wrap_phase)
 
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
@@ -131,6 +132,22 @@ def two_drive_settings(
     return eta * eps, phi
 
 
+def with_two_drive_optimum(
+    p: MqParams | DetectionParams, delta_opt: float, branch: str = "+"
+) -> MqParams | DetectionParams:
+    """Replace the qubit-drive settings by the interference optimum.
+
+    The drive ratio and phase are taken from the closed-form roots at
+    (delta_opt, j) for the params' damping rates; ``branch`` picks the root.
+    The detuning itself is left untouched. Three-mode params get the optimum
+    of their two-mode base.
+    """
+    if isinstance(p, DetectionParams):
+        return replace(p, base=with_two_drive_optimum(p.base, delta_opt, branch))
+    omega, phi = two_drive_settings(delta_opt, p.j, p.kappa, p.gamma, p.eps, branch)
+    return replace(p, omega_drv=omega, phi=phi)
+
+
 @dataclass(frozen=True)
 class PerturbativeAmplitudes:
     """Weak-drive stationary amplitudes of the lowest excitation states.
@@ -218,6 +235,22 @@ def thermal_occupation(freq_hz: float, temp_k: float) -> float:
     if n == math.inf:
         raise ParameterError(f"occupation at {freq_hz} Hz and {temp_k} K overflows a float")
     return n
+
+
+def device_preset() -> MqParams:
+    """Parameters of a demonstrated GHz NAMR-phase-qubit device, in units of the
+    qubit damping rate: a 6 GHz resonator resonant with the qubit, at 25 mK."""
+    kappa_hz = 9e6
+    return MqParams(
+        delta=0.0,
+        j=124e6 / kappa_hz,
+        eps=0.01,
+        omega_drv=0.0,
+        phi=0.0,
+        kappa=1.0,
+        gamma=26e6 / kappa_hz,
+        n_th=thermal_occupation(6e9, 0.025),
+    )
 
 
 class EffectiveMechParams(NamedTuple):

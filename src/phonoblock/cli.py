@@ -49,6 +49,7 @@ from .model import (
     DetectionParams,
     MqParams,
     flat_params,
+    two_mode_space,
     with_flat_updates,
 )
 from .sweep import SweepResult, SweepSpec, figure_names, figure_panels, run_sweep, solve_point
@@ -381,7 +382,7 @@ def _resolve_outdir(args, config: RunConfig | None) -> Path:
 
 def _cmd_steady(args) -> int:
     spec, _ = _point_spec(args)
-    values, _, _ = solve_point(spec.params_at({}), spec.mech_cutoff, None,
+    values, _, _ = solve_point(spec.params_at({}), spec.space,
                                ("n_b", "g2_zero", "qubit_excitation"))
     print(f"n_b = {values['n_b']:.6g}")
     print(f"g2_0 = {values['g2_zero']:.6g}")
@@ -393,7 +394,7 @@ def _cmd_g2tau(args) -> int:
     spec, config = _point_spec(args, ("g2_tau",))
     params = spec.params_at({})
     outdir = _resolve_outdir(args, config)
-    _, series, _ = solve_point(params, spec.mech_cutoff, None, (), spec.tau_grid)
+    _, series, _ = solve_point(params, spec.space, (), spec.tau_grid)
     path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(spec.tau_grid, series))
     # the echo alone reproduces the run: its [model] holds any derived drive
     resolved = dict(mech_cutoff=spec.mech_cutoff, tau_max=spec.tau_max, tau_points=spec.tau_points)
@@ -485,10 +486,9 @@ def _cmd_thermal(args) -> int:
 def _cmd_detect(args) -> int:
     spec, _ = _point_spec(args, detection=True)
     params = spec.params_at({})
-    values, _, _ = solve_point(params, spec.mech_cutoff, spec.cavity_cutoff,
-                               ("g2_zero", "g2a_zero", "n_b", "n_a"))
+    values, _, _ = solve_point(params, spec.space, ("g2_zero", "g2a_zero", "n_b", "n_a"))
     # two-mode reference without the readout cavity, two Fock levels deeper
-    reference, _, _ = solve_point(params.base, spec.mech_cutoff + 2, None, ("g2_zero",))
+    reference, _, _ = solve_point(params.base, two_mode_space(spec.mech_cutoff + 2), ("g2_zero",))
     g2_b, g2_a = values["g2_zero"], values["g2a_zero"]
     print(f"g2_b = {g2_b:.6g}")
     print(f"g2_a = {g2_a:.6g}")

@@ -144,24 +144,6 @@ def with_flat_updates(
     return replace(p, base=replace(p.base, **base_updates), **readout_updates)
 
 
-def device_preset() -> MqParams:
-    """Parameters of a demonstrated GHz NAMR-phase-qubit device, in units of the
-    qubit damping rate: a 6 GHz resonator resonant with the qubit, at 25 mK."""
-    from .analytics import thermal_occupation
-
-    kappa_hz = 9e6
-    return MqParams(
-        delta=0.0,
-        j=124e6 / kappa_hz,
-        eps=0.01,
-        omega_drv=0.0,
-        phi=0.0,
-        kappa=1.0,
-        gamma=26e6 / kappa_hz,
-        n_th=thermal_occupation(6e9, 0.025),
-    )
-
-
 # Factor labels in Kronecker order; every builder requires exactly these.
 _TWO_MODE_LABELS = ("m", "q")  # NAMR, qubit
 _THREE_MODE_LABELS = ("a", "m", "q")  # readout cavity, NAMR, qubit
@@ -334,21 +316,3 @@ def dressed_spectrum(j: float, delta: float, n_max: int) -> list[tuple[int, floa
         (n, n * delta + math.sqrt(n) * j, n * delta - math.sqrt(n) * j)
         for n in range(1, n_max + 1)
     ]
-
-
-def with_two_drive_optimum(
-    p: MqParams | DetectionParams, delta_opt: float, branch: str = "+"
-) -> MqParams | DetectionParams:
-    """Replace the qubit-drive settings by the interference optimum.
-
-    The drive ratio and phase are taken from the closed-form roots at
-    (delta_opt, j) for the params' damping rates; ``branch`` picks the root.
-    The detuning itself is left untouched. Three-mode params get the optimum
-    of their two-mode base.
-    """
-    from .analytics import two_drive_settings
-
-    if isinstance(p, DetectionParams):
-        return replace(p, base=with_two_drive_optimum(p.base, delta_opt, branch))
-    omega, phi = two_drive_settings(delta_opt, p.j, p.kappa, p.gamma, p.eps, branch)
-    return replace(p, omega_drv=omega, phi=phi)

@@ -2,21 +2,21 @@
 
 A :class:`SweepSpec` names zero to two axes over fields of the baseline
 parameters, the outputs to evaluate, and the run's one-value settings, which
-it resolves on construction; a spec with no axes is one point, the run of a
-CLI point command. Grid points are independent and are evaluated one after
-another in row-major axis order, so identical specs produce identical tables.
-:meth:`SweepSpec.params_at` gives the params of a point and :func:`solve_point`
-builds, solves and measures it, for sweep rows and point commands alike.
+it resolves on construction with the run's Hilbert space; a spec with no axes
+is one point, the run of a CLI point command. Grid points are independent and
+are evaluated one after another in row-major axis order, so identical specs
+produce identical tables. :meth:`SweepSpec.params_at` gives the params of a
+point and :func:`solve_point` builds, solves and measures it on the spec's
+space, for sweep rows and point commands alike.
 
 A row is flagged converged when its truncation cannot matter. The reported
 solve also measures the relative Fock tail |p_N| / p_2 of each truncated
-boson mode (the NAMR, and the cavity of the three-mode model). When every
-tail is below ``CONVERGENCE_TAIL_RTOL`` the row is converged as it stands.
-Otherwise it is re-solved with the mechanical cutoff raised by two and
-flagged converged only when its scalars change by less than 0.5%. The
-cavity cutoff is never raised: a large cavity tail only sends the row to the
-mechanical re-solve. The tail threshold is ten times below the smallest tail
-of any row the re-solve rejects in ``scripts/convergence_study.json``.
+boson mode of the run's space. When every tail is below
+``CONVERGENCE_TAIL_RTOL`` the row is converged as it stands; otherwise it is
+re-solved at mechanical cutoff + 2, the cavity cutoff kept, and flagged
+converged only when its scalars change by less than 0.5%. The threshold is
+ten times below the smallest tail of any row the re-solve rejects in
+``scripts/convergence_study.json``.
 
 Drives realizing an interference optimum are derived per point when
 ``delta_opt`` is set (either as a spec field or as the pseudo-axis
@@ -40,9 +40,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analytics import OptimalRoots, optimal_drive_roots
+from .analytics import OptimalRoots, optimal_drive_roots, with_two_drive_optimum
 from .correlations import g2_tau, g2_zero, mean_occupation, relative_tail
 from .errors import ParameterError, PhonoblockError, SweepError
+from .hilbert import HilbertSpace
 from .model import (
     DetectionParams,
     MqParams,
@@ -50,7 +51,6 @@ from .model import (
     model_cutoffs,
     model_space,
     with_flat_updates,
-    with_two_drive_optimum,
 )
 from .solver import assemble, liouvillian_basis, steady_state, steady_state_residual
 
@@ -81,6 +81,26 @@ def delay_grid(tau_max: float, tau_points: int) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, tau_max, tau_points).tolist())
 
 
+# scalar name -> (observable, mode label). Observables are looked up by name
+# when a point is measured, so wrappers set on this module see every call.
+_SCALARS = {
+    "g2_zero": ("g2_zero", "m"),
+    "n_b": ("mean_occupation", "m"),
+    "g2a_zero": ("g2_zero", "a"),
+    "n_a": ("mean_occupation", "a"),
+    "qubit_excitation": ("mean_occupation", "q"),
+    "tail_m": ("relative_tail", "m"),
+    "tail_a": ("relative_tail", "a"),
+}
+
+
+def _require_measurable(scalars: Sequence[str], space: HilbertSpace) -> None:
+    """Raise ParameterError unless each name is a scalar whose mode is a factor of ``space``."""
+    valid = [name for name, (_, label) in _SCALARS.items() if label in space.labels]
+    if unknown := [name for name in scalars if name not in valid]:
+        raise ParameterError(f"cannot measure {unknown} on {space!r} (its scalars: {valid})")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid job description, its run resolved on construction.
@@ -93,8 +113,9 @@ class SweepSpec:
     ``cavity_cutoff`` on the two-mode model), ``tau_max`` and ``tau_points``
     to the default delay grid ``tau_grid`` with a ``g2_tau`` output, and
     ``root_branch`` to ``"+"`` when an optimum is used (``delta_opt`` as a
-    field or an axis). A bad cutoff, delay grid or branch, or a non-finite
-    ``delta_opt``, is rejected.
+    field or an axis), and ``space`` to the model's space at those cutoffs.
+    A bad cutoff, delay grid, branch or ``delta_opt``, or an output whose
+    mode the space lacks, is rejected.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -107,6 +128,7 @@ class SweepSpec:
     delta_opt: float | None = None
     root_branch: str | None = None
     tau_grid: tuple[float, ...] | None = field(init=False)
+    space: HilbertSpace = field(init=False)
 
     def __post_init__(self) -> None:
         axes = tuple((str(n), tuple(float(v) for v in vals)) for n, vals in self.axes)
@@ -133,8 +155,6 @@ class SweepSpec:
             raise ParameterError("at least one output is required")
         if len(set(self.outputs)) != len(self.outputs):
             raise ParameterError(f"outputs must be distinct, got {self.outputs}")
-        if "g2a_zero" in self.outputs and not isinstance(self.fixed, DetectionParams):
-            raise ParameterError("g2a_zero needs a DetectionParams baseline")
         if self.root_branch not in (None, "+", "-"):
             raise ParameterError(f"root_branch must be '+' or '-', got {self.root_branch!r}")
         if self.delta_opt is not None and any(n == "delta_opt" for n, _ in axes):
@@ -142,14 +162,15 @@ class SweepSpec:
         if self.delta_opt is not None and not math.isfinite(self.delta_opt):
             raise ParameterError(f"delta_opt must be finite, got {self.delta_opt}")
         mech, cavity = model_cutoffs(self.fixed, self.mech_cutoff, self.cavity_cutoff)
-        model_space(self.fixed, mech, cavity)
+        space = model_space(self.fixed, mech, cavity)
+        _require_measurable([out for out in self.outputs if out in SCALAR_OUTPUTS], space)
         tau_max = tau_points = grid = None
         if "g2_tau" in self.outputs:
             tau_max = DEFAULT_TAU_MAX if self.tau_max is None else float(self.tau_max)
             tau_points = DEFAULT_TAU_POINTS if self.tau_points is None else self.tau_points
             grid = delay_grid(tau_max, tau_points)
         optimum = self.delta_opt is not None or any(n == "delta_opt" for n, _ in axes)
-        resolved = dict(mech_cutoff=mech, cavity_cutoff=cavity, tau_max=tau_max,
+        resolved = dict(mech_cutoff=mech, cavity_cutoff=cavity, space=space, tau_max=tau_max,
                         tau_points=tau_points, tau_grid=grid,
                         root_branch=(self.root_branch or "+") if optimum else None)
         for name, value in resolved.items():
@@ -188,39 +209,23 @@ class SweepResult:
         return len(next(iter(self.columns.values())))
 
 
-# scalar name -> (observable, mode label). Observables are looked up by name
-# when a point is measured, so wrappers set on this module see every call.
-_SCALARS = {
-    "g2_zero": ("g2_zero", "m"),
-    "n_b": ("mean_occupation", "m"),
-    "g2a_zero": ("g2_zero", "a"),
-    "n_a": ("mean_occupation", "a"),
-    "qubit_excitation": ("mean_occupation", "q"),
-    "tail_m": ("relative_tail", "m"),
-    "tail_a": ("relative_tail", "a"),
-}
-
-
 def solve_point(
     params: MqParams | DetectionParams,
-    mech_cutoff: int | None,
-    cavity_cutoff: int | None,
+    space: HilbertSpace,
     scalars: Sequence[str],
     tau_grid: Sequence[float] | None = None,
 ) -> tuple[dict[str, float], list[float] | None, float]:
-    """Build, solve and measure one point; every sweep row and point command runs here.
+    """Build, solve and measure one point on ``space``, for every sweep row and point command.
 
     ``scalars`` names steady-state observables, measured in this order:
     ``g2_zero``, ``n_b``, ``g2a_zero`` (photon g2), ``n_a``,
     ``qubit_excitation``, and the relative Fock tails ``tail_m`` and
-    ``tail_a`` (see :func:`relative_tail`). A ``None`` cutoff takes the model
-    default. Returns the scalars, the NAMR g2(tau) series on ``tau_grid``
-    (``None`` without a grid) and the steady residual.
+    ``tail_a`` (see :func:`relative_tail`). A scalar whose mode is not a
+    factor of ``space`` raises. Returns the scalars, the NAMR g2(tau) series
+    on ``tau_grid`` (``None`` without a grid) and the steady residual.
     """
-    if not set(scalars) <= set(_SCALARS):
-        raise ParameterError(f"unknown scalars in {list(scalars)} (valid: {list(_SCALARS)})")
+    _require_measurable(scalars, space)
     wanted = {name: entry for name, entry in _SCALARS.items() if name in scalars}
-    space = model_space(params, mech_cutoff, cavity_cutoff)
     liou = assemble(params, space)
     rho = steady_state(liou)
     observables = {"g2_zero": g2_zero, "mean_occupation": mean_occupation,
@@ -256,24 +261,22 @@ def _evaluate_point(
     try:
         params = spec.params_at(point)
         if "eta_phi_roots" in spec.outputs:
-            base = params.base if isinstance(params, DetectionParams) else params
-            cells.update(asdict(optimal_drive_roots(base.delta, base.j, base.kappa, base.gamma)))
+            p = flat_params(params)
+            cells.update(asdict(optimal_drive_roots(p["delta"], p["j"], p["kappa"], p["gamma"])))
         solve_wanted = [o for o in spec.outputs if o in SCALAR_OUTPUTS]
         if not solve_wanted and spec.tau_grid is None:
             return {**cells, "converged": True}, 0.0, None
         # convergence proxy when only a tau series was requested
         check_outputs = solve_wanted if solve_wanted else ["g2_zero"]
-        tails = ["tail_m"] if spec.cavity_cutoff is None else ["tail_m", "tail_a"]
-        scalars, series, residual = _timed(stats, "steady_s", params, spec.mech_cutoff,
-                                           spec.cavity_cutoff, check_outputs + tails,
-                                           spec.tau_grid)
+        tails = [f"tail_{f.label}" for f in spec.space.factors if f.kind == "boson"]
+        scalars, series, residual = _timed(stats, "steady_s", params, spec.space,
+                                           check_outputs + tails, spec.tau_grid)
         # tails this small cannot move the checked values: no re-solve
         converged = all(scalars[k] < CONVERGENCE_TAIL_RTOL for k in tails)
         if not converged:
             stats["refined_rows"] += 1
-            refined, _, _ = _timed(stats, "refine_s", params,
-                                   spec.mech_cutoff + CUTOFF_INCREMENT, spec.cavity_cutoff,
-                                   check_outputs)
+            deeper = model_space(params, spec.mech_cutoff + CUTOFF_INCREMENT, spec.cavity_cutoff)
+            refined, _, _ = _timed(stats, "refine_s", params, deeper, check_outputs)
             converged = all(_rel_change(scalars[k], refined[k]) < CONVERGENCE_RTOL
                             for k in check_outputs)
     except PhonoblockError as exc:

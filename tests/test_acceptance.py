@@ -37,7 +37,7 @@ from phonoblock.analytics import (
 )
 from phonoblock.correlations import g2_tau, g2_zero, mean_occupation
 from phonoblock.hilbert import check_state, lowering
-from phonoblock.model import DetectionParams, MqParams
+from phonoblock.model import DetectionParams, MqParams, three_mode_space, two_mode_space
 from phonoblock.solver import evolve
 from phonoblock.sweep import solve_point
 from oracle import model_steady_state, trace_preservation_residual
@@ -50,7 +50,7 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _g2(params: MqParams, mech_cutoff: int = 8) -> float:
-    return solve_point(params, mech_cutoff, None, ("g2_zero",))[0]["g2_zero"]
+    return solve_point(params, two_mode_space(mech_cutoff), ("g2_zero",))[0]["g2_zero"]
 
 
 def _two_drive_params(delta_opt: float, branch: str, eps: float, n_th: float = 0.0,
@@ -131,7 +131,7 @@ def test_criterion_04_thermal_fragility_crossings():
 def test_criterion_05_two_drive_enhancement():
     results = {}
     for label, branch, dopt in (("plus", "+", 3.0), ("minus", "-", -3.0)):
-        values, _, _ = solve_point(_two_drive_params(dopt, branch, eps=0.2), 12, None,
+        values, _, _ = solve_point(_two_drive_params(dopt, branch, eps=0.2), two_mode_space(12),
                                    ("g2_zero", "n_b"))
         results[label] = (values["g2_zero"], values["n_b"])
     ok = all(
@@ -172,7 +172,7 @@ def test_criterion_07_detection_equivalence():
         base = MqParams(delta=float(delta), j=3.0, eps=0.2,
                         omega_drv=omega, phi=phi, n_th=1e-3)
         det = DetectionParams(base=base, g_om=0.1, gamma_cav=10.0)
-        values, _, _ = solve_point(det, 6, 3, ("g2_zero", "g2a_zero"))
+        values, _, _ = solve_point(det, three_mode_space(3, 6), ("g2_zero", "g2a_zero"))
         g2_b3, g2_a = values["g2_zero"], values["g2a_zero"]
         rel_photon = abs(g2_a - g2_b3) / g2_b3
         if rel_photon > worst_photon:

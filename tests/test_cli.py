@@ -17,7 +17,8 @@ import phonoblock
 from phonoblock.cli import (TASK_VALUES, _echo, _point_spec, _spec_from_config, _spec_task,
                             build_parser, cli_main, load_config, render_config)
 from phonoblock.errors import ConfigError
-from phonoblock.model import DetectionParams, MqParams, flat_params, with_two_drive_optimum
+from phonoblock.analytics import with_two_drive_optimum
+from phonoblock.model import DetectionParams, MqParams, flat_params, two_mode_space
 from phonoblock.sweep import (SweepSpec, figure_names, figure_panels, run_sweep,
                               solve_point)
 
@@ -253,7 +254,7 @@ def test_detect_two_mode_reference_is_two_levels_deeper(capsys, mech_cutoff, ref
     assert cli_main(argv) == 0
     out = capsys.readouterr().out
     base = with_two_drive_optimum(MqParams(delta=3.0, j=3.0, eps=0.2, n_th=1e-3), 3.0, "+")
-    reference, _, _ = solve_point(base, reference_cutoff, None, ("g2_zero",))
+    reference, _, _ = solve_point(base, two_mode_space(reference_cutoff), ("g2_zero",))
     assert f"g2_b_two_mode = {reference['g2_zero']:.6g}\n" in out
 
 

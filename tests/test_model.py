@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from phonoblock.analytics import two_drive_settings
+from phonoblock.analytics import device_preset, two_drive_settings, with_two_drive_optimum
 from phonoblock.errors import ParameterError
 from phonoblock.hilbert import hermiticity_defect, lowering, make_space, number
 from phonoblock.model import (
@@ -15,7 +15,6 @@ from phonoblock.model import (
     build_h_mq,
     build_h_total,
     collapse_ops,
-    device_preset,
     dressed_spectrum,
     flat_params,
     model_cutoffs,
@@ -24,7 +23,6 @@ from phonoblock.model import (
     three_mode_space,
     two_mode_space,
     with_flat_updates,
-    with_two_drive_optimum,
     wrap_phase,
 )
 

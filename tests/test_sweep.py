@@ -15,7 +15,8 @@ from phonoblock.analytics import optimal_drive_roots
 from phonoblock.correlations import g2_zero
 from phonoblock.errors import ParameterError, SweepError
 from phonoblock.hilbert import expectation, lowering
-from phonoblock.model import DetectionParams, MqParams
+from phonoblock.model import (DetectionParams, MqParams, model_space, three_mode_space,
+                              two_mode_space)
 from phonoblock.solver import liouvillian_basis
 from phonoblock.sweep import (
     SweepSpec,
@@ -250,7 +251,7 @@ def test_converged_matches_an_independent_cutoff_plus_two_verdict(mech_cutoff):
     outputs = ("g2_zero", "n_b")
     for i, eps in enumerate(result.columns["eps"]):
         params = spec.params_at({"eps": eps})
-        low, high = (solve_point(params, n, None, outputs)[0]
+        low, high = (solve_point(params, two_mode_space(n), outputs)[0]
                      for n in (mech_cutoff, mech_cutoff + sweep.CUTOFF_INCREMENT))
         verdict = all(abs(high[k] - low[k]) < sweep.CONVERGENCE_RTOL * abs(low[k])
                       for k in outputs)
@@ -335,6 +336,28 @@ def test_no_basis_is_built_outside_the_timed_solves(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="phonoblock"):
         run_sweep(_TWO_PATTERNS)
     assert cached[0] == 0 and len(cached) == 4
+    # rows that skip the re-solve solve on the spec's space and build none
+    skipping = replace(_TWO_PATTERNS, mech_cutoff=8)
+    built = []
+    monkeypatch.setattr(sweep, "model_space", lambda *args: built.append(args))
+    assert run_sweep(skipping).metadata["refined_rows"] == 0
+    assert built == [] and len(cached) == 6
+
+
+def test_a_photon_tail_alone_sends_a_row_to_the_re_solve():
+    # at cavity cutoff 2 the top photon level is the two-quantum one, so
+    # tail_a = 1, while the weak drive leaves the phonon tail far below the threshold
+    params = DetectionParams(base=MqParams(j=1.0, eps=0.05), g_om=0.5, gamma_cav=2.0)
+    spec = SweepSpec(axes=(("delta", (0.0,)),), fixed=params, outputs=("g2_zero", "g2a_zero"),
+                     mech_cutoff=4, cavity_cutoff=2)
+    tails, _, _ = solve_point(params, spec.space, ("tail_m", "tail_a"))
+    assert tails["tail_m"] < sweep.CONVERGENCE_TAIL_RTOL and tails["tail_a"] == 1.0
+    result = run_sweep(spec)
+    assert result.metadata["refined_rows"] == 1
+    low, high = (solve_point(params, three_mode_space(2, n), spec.outputs)[0] for n in (4, 6))
+    verdict = all(abs(high[k] - low[k]) < sweep.CONVERGENCE_RTOL * abs(low[k])
+                  for k in spec.outputs)
+    assert result.columns["converged"][0] == verdict
 
 
 def test_three_mode_sweep_point():
@@ -399,9 +422,12 @@ def test_unused_spec_fields_resolve_to_none():
                      root_branch="-")
     assert spec.tau_max is spec.tau_points is spec.tau_grid is None
     assert spec.root_branch is None and spec.cavity_cutoff is None
-    assert spec.mech_cutoff == 8
+    assert spec.mech_cutoff == 8 and spec.space == two_mode_space(8)
     three_mode = SweepSpec(axes=(("delta", (0.0,)),), fixed=DetectionParams(base=WEAK))
     assert (three_mode.mech_cutoff, three_mode.cavity_cutoff) == (6, 3)
+    assert three_mode.space == three_mode_space(3, 6)
+    with pytest.raises(TypeError):
+        SweepSpec(axes=(), fixed=WEAK, space=three_mode.space)
     for optimum in ({"delta_opt": 3.0}, {"axes": (("delta_opt", (3.0,)),)}):
         assert replace(spec, **optimum).root_branch == "+"
         assert replace(spec, **optimum, root_branch="-").root_branch == "-"
@@ -423,7 +449,8 @@ def test_preset_resolution_is_idempotent(panel):
 def test_solve_point_measures_the_named_modes():
     params = DetectionParams(base=MqParams(delta=3.0, j=3.0, eps=0.2), g_om=0.1)
     values, series, residual = solve_point(
-        params, 3, 2, ("qubit_excitation", "g2a_zero", "n_a", "n_b", "g2_zero"), (0.0, 0.5)
+        params, three_mode_space(2, 3), ("qubit_excitation", "g2a_zero", "n_a", "n_b", "g2_zero"),
+        (0.0, 0.5)
     )
     space, _, rho = model_steady_state(params, 3, 2)
     a, b, sm = (lowering(space, label) for label in ("a", "m", "q"))
@@ -439,8 +466,11 @@ def test_solve_point_measures_the_named_modes():
 
 
 def test_solve_point_rejects_unknown_scalars():
-    with pytest.raises(ParameterError, match="g2b_zero"):
-        solve_point(WEAK, 4, None, ("g2b_zero",))
+    # a name no table entry has, and the cavity scalars on a space without a cavity
+    space = two_mode_space(4)
+    for name in ("g2b_zero", "g2a_zero", "n_a", "tail_a"):
+        with pytest.raises(ParameterError, match=re.escape(f"['{name}'] on {space!r}")):
+            solve_point(MqParams(eps=0.1, j=1.0), space, (name,))
 
 
 def _preset_point(name: str, index: int) -> tuple[MqParams, int | None]:
@@ -455,7 +485,7 @@ def _preset_point(name: str, index: int) -> tuple[MqParams, int | None]:
 @pytest.mark.parametrize("preset, index", [("fig5d", 3), ("fig6b", 1), ("fig9c_minus", 0)])
 def test_g2_matches_a_refined_dense_solve(preset, index):
     params, cutoff = _preset_point(preset, index)
-    values, _, _ = solve_point(params, cutoff, None, ("g2_zero",))
+    values, _, _ = solve_point(params, two_mode_space(cutoff), ("g2_zero",))
     expected = refined_dense_scalars(params, cutoff, None)["g2_zero"]
     assert values["g2_zero"] == pytest.approx(expected, rel=1e-12)
 
@@ -480,7 +510,8 @@ def test_steady_state_matches_a_refined_dense_solve_at_random_points(three_mode)
     for _ in range(30):
         params, mech_cutoff, cavity_cutoff = _random_point(rng, three_mode)
         expected = refined_dense_scalars(params, mech_cutoff, cavity_cutoff)
-        values, _, _ = solve_point(params, mech_cutoff, cavity_cutoff, tuple(expected))
+        space = model_space(params, mech_cutoff, cavity_cutoff)
+        values, _, _ = solve_point(params, space, tuple(expected))
         for name, value in expected.items():
             assert values[name] == pytest.approx(value, rel=1e-12, abs=0.0), (name, params)
 
@@ -489,7 +520,7 @@ def test_fig9c_minus_g2_does_not_move_with_the_cutoff():
     # a COLAMD, partial-pivoting factorization read 0.06956695975 at cutoff 8
     # and 0.06956685219 at cutoff 16: LU error, not truncation
     params, _ = _preset_point("fig9c_minus", 0)
-    g2_8, g2_16 = (solve_point(params, cutoff, None, ("g2_zero",))[0]["g2_zero"]
+    g2_8, g2_16 = (solve_point(params, two_mode_space(cutoff), ("g2_zero",))[0]["g2_zero"]
                    for cutoff in (8, 16))
     assert g2_16 == pytest.approx(g2_8, rel=1e-10, abs=0.0)
 
