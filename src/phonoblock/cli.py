@@ -12,12 +12,11 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 Config files are INI-style text with sections ``[model]``, ``[task]`` and
 ``[output]`` and a strict key schema; unknown keys are rejected by name. Each
 ``TASK_VALUES`` key sets the ``SweepSpec`` field of its name, and the spec
-resolves every run: a point command runs a spec with no axes, built from
-``[model]`` and the keys it has a flag for, the flags on top, and rejects any
-other ``[task]`` key; a sweep rejects a key that its spec resolves to
-``None``, as unused. The ``config_echo`` of a ``.meta.json`` sidecar holds
-the resolved run, and ``render_config`` makes of it a config that reproduces
-the table exactly.
+resolves every run: a sweep runs the spec of its config, a point command a
+spec with no axes, the flags on top of its config. One rule holds for both:
+a given key or flag that the resolved spec does not use is a config error.
+The ``config_echo`` of a ``.meta.json`` sidecar holds the resolved run, and
+``render_config`` makes of it a config that reproduces the table exactly.
 
 CSV schema: one header line of column names, one row per grid point, decimal
 text with 13 significant digits, and the sentinel ``NA`` for failed points.
@@ -345,20 +344,22 @@ def _add_model_args(parser: argparse.ArgumentParser, detection: bool = False) ->
 def _point_spec(args, outputs: tuple[str, ...] = ("g2_zero",),
                 detection: bool = False) -> tuple[SweepSpec, RunConfig | None]:
     """The run of a point command, a spec with no axes, and its config:
-    defaults < config < flags, in [model] and in [task] alike."""
+    defaults < config < flags; as in a sweep, what the spec does not use is refused."""
     config = load_config(args.config) if args.config else None
-    given = config.task if config else {}
-    if unused := [key for key in given if not hasattr(args, key)]:
-        raise ConfigError(f"{args.command} has no option for [task] {', '.join(unused)}")
-    task = {key: given.get(key) if getattr(args, key) is None else getattr(args, key)
-            for key in TASK_VALUES if hasattr(args, key)}
     params = config.model if config else MqParams()
     if detection and isinstance(params, MqParams):
         params = DetectionParams(base=params)
     elif not detection and isinstance(params, DetectionParams):
-        params = params.base
+        keys = ", ".join(k for k in _config_keys(params) if k not in _config_keys(params.base))
+        raise ConfigError(f"{args.command} is two-mode: [model] {keys} need detect or sweep")
+    task = {**(config.task if config else {}),
+            **{key: v for key in TASK_VALUES if (v := getattr(args, key, None)) is not None}}
     flags = {k: v for k in flat_params(params) if (v := getattr(args, k)) is not None}
-    return SweepSpec((), with_flat_updates(params, flags), outputs, **task), config
+    spec = SweepSpec((), with_flat_updates(params, flags), outputs,
+                     **{key: v for key, v in task.items() if key in TASK_VALUES})
+    if unused := [key for key in task if key not in _spec_task(spec)]:
+        raise ConfigError(f"{args.command} does not use [task] {', '.join(unused)}")
+    return spec, config
 
 
 def _resolve_outdir(args, config: RunConfig | None) -> Path:
@@ -392,14 +393,12 @@ def _cmd_steady(args) -> int:
 
 def _cmd_g2tau(args) -> int:
     spec, config = _point_spec(args, ("g2_tau",))
-    params = spec.params_at({})
     outdir = _resolve_outdir(args, config)
-    _, series, _ = solve_point(params, spec.space, (), spec.tau_grid)
+    _, series, _ = solve_point(spec.params_at({}), spec.space, (), spec.tau_grid)
     path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(spec.tau_grid, series))
-    # the echo alone reproduces the run: its [model] holds any derived drive
-    resolved = dict(mech_cutoff=spec.mech_cutoff, tau_max=spec.tau_max, tau_points=spec.tau_points)
-    echo = _echo(params, {k: repr(v) for k, v in resolved.items()}, outdir, True)
-    write_metadata({"version": __version__, "config_echo": echo, **resolved},
+    echo = _echo(spec.fixed, _spec_task(spec), outdir, True)
+    write_metadata({"version": __version__, "config_echo": echo, "mech_cutoff": spec.mech_cutoff,
+                    "tau_max": spec.tau_max, "tau_points": spec.tau_points},
                    outdir / "g2tau.meta.json")
     print(f"g2_0 = {series[0]:.6g}")
     print(f"wrote {path}")
@@ -420,12 +419,13 @@ def _spec_from_config(config: RunConfig) -> SweepSpec:
 
 
 def _spec_task(spec: SweepSpec) -> dict[str, str]:
-    """The [task] text that reproduces a sweep: each axis as a list of repr
-    floats, the outputs, then each ``TASK_VALUES`` field that the run uses."""
+    """The [task] text that reproduces a run: each axis as a list of repr floats,
+    the outputs of a run with axes, then each ``TASK_VALUES`` field it uses."""
     task = {}
     for i, (name, values) in enumerate(spec.axes, start=1):
         task[f"axis{i}"], task[f"axis{i}_values"] = name, ", ".join(map(repr, values))
-    task["outputs"] = ", ".join(spec.outputs)
+    if spec.axes:
+        task["outputs"] = ", ".join(spec.outputs)
     task.update((key, str(value)) for key in TASK_VALUES
                 if (value := getattr(spec, key)) is not None)
     return task

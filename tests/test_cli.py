@@ -135,18 +135,20 @@ def test_steady_matches_one_row_sweep(capsys):
         assert f"g2_0 = {result.columns['g2_zero'][0]:.6g}\n" in out
 
 
-def test_steady_reduces_a_three_mode_config_to_its_base(tmp_path, capsys):
+def test_steady_and_g2tau_refuse_a_three_mode_config(tmp_path, capsys):
+    # a readout key selects the three-mode model, which only detect and sweep run
     config_path = tmp_path / "three.cfg"
     config_path.write_text(
         "[model]\ndelta = 0.1\nj = 0.71\neps = 0.01\nn_th = 1e-4\ngamma_cav = 20\n"
-        "g_om_re = 0.3\n"
+        f"g_om_re = 0.3\n\n[output]\ndir = {tmp_path / 'out'}\n"
     )
-    assert cli_main(["steady", "--config", str(config_path)]) == 0
-    from_config = capsys.readouterr().out
-    two_mode = ["--delta", "0.1", "--j", "0.71", "--eps", "0.01", "--n-th", "1e-4"]
-    assert cli_main(["steady", *two_mode]) == 0
-    assert from_config == capsys.readouterr().out
-    assert len(from_config.splitlines()) == 3
+    for command in ("steady", "g2tau"):
+        assert cli_main([command, "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: {command} is two-mode: [model] g_om_re, g_om_im, "
+                                "gamma_cav need detect or sweep\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out" / "g2tau.csv").exists()
 
 
 def test_unknown_flag_is_config_error(capsys):
@@ -192,37 +194,47 @@ def test_g2tau_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("outdir_from", ["flag", "env", "config"])
 def test_g2tau_meta_reproduces_its_run(tmp_path, capsys, monkeypatch, outdir_from):
-    out = tmp_path / "a"
-    argv = ["g2tau", "--j", "0.71", "--eps", "0.01", "--mech-cutoff", "12",
-            "--tau-max", "1", "--tau-points", "3"]
-    if outdir_from == "flag":
-        argv = ["--outdir", str(out), *argv]
-    elif outdir_from == "env":
-        monkeypatch.setenv("PHONOBLOCK_OUTDIR", str(out))
-    else:
-        (tmp_path / "run.cfg").write_text(f"[output]\ndir = {out}\n")
-        argv += ["--config", str(tmp_path / "run.cfg")]
-    assert cli_main(argv) == 0
-    capsys.readouterr()
-    meta = json.loads((out / "g2tau.meta.json").read_text())
-    assert meta["mech_cutoff"] == 12
-    assert meta["config_echo"]["output"]["dir"] == str(out)
-    assert meta["config_echo"]["task"] == {"mech_cutoff": "12", "tau_max": "1.0",
-                                           "tau_points": "3"}
-
-    # rerun from the echo alone, then from the echo and the recorded values as
-    # flags, each into another directory
-    monkeypatch.delenv("PHONOBLOCK_OUTDIR", raising=False)
-    echo = meta["config_echo"]
-    for rerun_dir, flags in (("b", []), ("c", ["--mech-cutoff", str(meta["mech_cutoff"]),
-                                               "--tau-max", repr(meta["tau_max"]),
-                                               "--tau-points", str(meta["tau_points"])])):
-        echo["output"]["dir"] = str(tmp_path / rerun_dir)
-        (tmp_path / "rerun.cfg").write_text(render_config(echo))
-        assert cli_main(["g2tau", "--config", str(tmp_path / "rerun.cfg"), *flags]) == 0
+    # the echo is a sweep echo without axes or outputs: the model as given and,
+    # on an optimum, delta_opt and root_branch, not the drive they derive
+    tables = []
+    for optimum in ([], ["--delta-opt", "3", "--branch", "-"]):
+        run_dir = tmp_path / ("optimum" if optimum else "plain")
+        run_dir.mkdir()
+        out = run_dir / "a"
+        argv = ["g2tau", "--j", "0.71", "--eps", "0.01", "--mech-cutoff", "12",
+                "--tau-max", "1", "--tau-points", "3", *optimum]
+        if outdir_from == "flag":
+            argv = ["--outdir", str(out), *argv]
+        elif outdir_from == "env":
+            monkeypatch.setenv("PHONOBLOCK_OUTDIR", str(out))
+        else:
+            (run_dir / "run.cfg").write_text(f"[output]\ndir = {out}\n")
+            argv += ["--config", str(run_dir / "run.cfg")]
+        assert cli_main(argv) == 0
         capsys.readouterr()
-        assert (out / "g2tau.csv").read_bytes() == (
-            tmp_path / rerun_dir / "g2tau.csv").read_bytes()
+        meta = json.loads((out / "g2tau.meta.json").read_text())
+        assert meta["mech_cutoff"] == 12
+        echo = meta["config_echo"]
+        assert echo["output"]["dir"] == str(out)
+        assert echo["model"] == _echo(MqParams(j=0.71, eps=0.01), {}, out, True)["model"]
+        assert echo["task"] == {"mech_cutoff": "12", "tau_max": "1.0", "tau_points": "3",
+                                **({"delta_opt": "3.0", "root_branch": "-"} if optimum else {})}
+
+        # rerun from the echo alone, then from the echo and the recorded values as
+        # flags, each into another directory
+        monkeypatch.delenv("PHONOBLOCK_OUTDIR", raising=False)
+        for rerun_dir, flags in (("b", []), ("c", ["--mech-cutoff", str(meta["mech_cutoff"]),
+                                                   "--tau-max", repr(meta["tau_max"]),
+                                                   "--tau-points", str(meta["tau_points"])])):
+            echo["output"]["dir"] = str(run_dir / rerun_dir)
+            (run_dir / "rerun.cfg").write_text(render_config(echo))
+            assert cli_main(["g2tau", "--config", str(run_dir / "rerun.cfg"), *flags]) == 0
+            capsys.readouterr()
+            assert (out / "g2tau.csv").read_bytes() == (
+                run_dir / rerun_dir / "g2tau.csv").read_bytes()
+        tables.append((out / "g2tau.csv").read_bytes())
+    # the optimum's drive moves the series
+    assert tables[0] != tables[1]
 
 
 def test_detect_compares_photon_and_phonon(tmp_path, capsys):
@@ -842,25 +854,32 @@ def test_point_command_reads_config_task_values_under_its_flags(
     assert overridden != from_config
 
 
-@pytest.mark.parametrize(
-    "command, task",
-    [
-        ("steady", "axis1 = delta\naxis1_values = 0.0\n"),
-        ("steady", "tau_max = 1\n"),
-        ("steady", "cavity_cutoff = 2\n"),
-        ("detect", "tau_points = 3\n"),
-        ("g2tau", "outputs = g2_zero\n"),
-    ],
-)
-def test_point_command_rejects_task_key_it_has_no_flag_for(tmp_path, capsys, command, task):
+# (command, [task] text, flags, the config error): each key or flag that the
+# point's spec does not use, refused as a sweep refuses it
+_UNUSED = [
+    ("steady", "axis1 = delta\naxis1_values = 0.0\n", [], "steady does not use [task] axis1"),
+    ("steady", "tau_max = 1\n", [], "steady does not use [task] tau_max"),
+    ("steady", "cavity_cutoff = 2\n", [], "cavity_cutoff = 2 needs the three-mode model"),
+    ("detect", "tau_points = 3\n", [], "detect does not use [task] tau_points"),
+    ("g2tau", "outputs = g2_zero\n", [], "g2tau does not use [task] outputs"),
+    # a branch without an optimum, as a key or as a flag
+    *((command, "root_branch = -\n", [], f"{command} does not use [task] root_branch")
+      for command in ("steady", "g2tau", "detect")),
+    ("g2tau", "", ["--branch", "-"], "g2tau does not use [task] root_branch"),
+]
+
+
+@pytest.mark.parametrize("command, task, flags, message", _UNUSED,
+                         ids=[f"{c}-{task or ' '.join(flags)}" for c, task, flags, _ in _UNUSED])
+def test_point_command_rejects_task_key_it_has_no_flag_for(tmp_path, capsys, command, task,
+                                                           flags, message):
     config_path = tmp_path / "point.cfg"
     config_path.write_text(
         f"[model]\nj = 0.71\neps = 0.01\n\n[task]\n{task}\n[output]\ndir = {tmp_path / 'out'}\n"
     )
-    assert cli_main([command, "--config", str(config_path)]) == 1
+    assert cli_main([command, "--config", str(config_path), *flags]) == 1
     captured = capsys.readouterr()
-    key = task.split(" = ")[0]
-    assert f"config error: {command} has no option for [task] {key}" in captured.err
+    assert captured.err == f"config error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

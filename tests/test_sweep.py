@@ -1,5 +1,6 @@
 """Grid engine: ordering, determinism, failure markers, and presets."""
 
+import importlib.util
 import json
 import logging
 import math
@@ -279,6 +280,20 @@ def test_convergence_study_supports_the_tail_threshold():
     rejected = [t["min_rejected_tail"] for t in tables if t["min_rejected_tail"] is not None]
     assert rejected and tau <= min(rejected) / 10
     assert study["summary"]["min_rejected_tail"] == min(rejected)
+
+
+def test_convergence_study_script_reproduces_its_committed_tables(tmp_path):
+    # the script imports private sweep names; a run on two small presets
+    # guards it against their drift
+    script = importlib.util.spec_from_file_location("convergence_study", STUDY.with_suffix(".py"))
+    study = importlib.util.module_from_spec(script)
+    script.loader.exec_module(study)
+    out = tmp_path / "study.json"
+    assert study.main(["--presets", "fig3f,fig9c_plus", "--out", str(out)]) == 0
+    presets = ("fig3f", "fig9c_plus")
+    committed = [t for t in json.loads(STUDY.read_text())["tables"] if t["preset"] in presets]
+    assert len(committed) == 12
+    assert json.loads(out.read_text())["tables"] == committed
 
 
 def test_tables_depend_on_neither_cache_state_nor_point_order():
