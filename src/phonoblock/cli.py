@@ -396,9 +396,8 @@ def _cmd_g2tau(args) -> int:
     outdir = _resolve_outdir(args, config)
     _, series, _ = solve_point(spec.params_at({}), spec.space, (), spec.tau_grid)
     path = _write_rows(outdir / "g2tau.csv", ("tau", "g2"), zip(spec.tau_grid, series))
-    echo = _echo(spec.fixed, _spec_task(spec), outdir, True)
-    write_metadata({"version": __version__, "config_echo": echo, "mech_cutoff": spec.mech_cutoff,
-                    "tau_max": spec.tau_max, "tau_points": spec.tau_points},
+    write_metadata({"version": __version__,
+                    "config_echo": _echo(spec.fixed, _spec_task(spec), outdir, True)},
                    outdir / "g2tau.meta.json")
     print(f"g2_0 = {series[0]:.6g}")
     print(f"wrote {path}")

@@ -49,6 +49,16 @@ columns would not do: SuperLU prefers the diagonal of the matrix it is
 given, and on tied pivots that moves the solution. An evicted basis takes
 its operators and orders with it, so ``liouvillian_basis.cache_clear()``
 resets all per-space state.
+
+Every factorization and its solve run with the OpenBLAS that SuperLU links
+to set to one thread (:class:`_OneBlasThread`). numpy and scipy each ship an
+OpenBLAS that starts one thread per core, and on few cores their spinning
+workers take CPU from each other: on 2 cores a three-mode readout table
+solves about 30% faster with SuperLU on one thread. The blocked kernels
+also split their sums by thread count, so for a given BLAS build the
+factors no longer depend on the host's thread count. Larger systems give
+some of the gain back: alone, an 8/3 or 6/5 three-mode point (n = 5184 or
+7056) factors about 15% slower on one thread than on two.
 """
 
 from __future__ import annotations
@@ -299,6 +309,51 @@ class ColumnOrder:
         return splu(mat, permc_spec="NATURAL", options=_PIVOTING).solve(b)[self.perm]
 
 
+@functools.cache
+def _superlu_blas_threads() -> tuple | None:
+    """The (get, set) thread-count calls of the OpenBLAS SuperLU links to, or
+    None for a BLAS without them (MKL, Accelerate). Resolved once, at the
+    first factorization: dlsym on SuperLU's extension searches its
+    dependencies, so it finds exactly the BLAS SuperLU calls."""
+    import ctypes
+
+    from scipy.sparse.linalg._dsolve import _superlu
+
+    lib = ctypes.CDLL(_superlu.__file__)
+    for prefix in ("scipy_openblas_", "openblas_"):  # scipy wheels, system OpenBLAS
+        try:
+            get, set_ = lib[prefix + "get_num_threads"], lib[prefix + "set_num_threads"]
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        log.debug("SuperLU factors on one BLAS thread, set through %sset_num_threads", prefix)
+        return get, set_
+    log.debug("no OpenBLAS thread calls in SuperLU's BLAS; it keeps its default threads")
+    return None
+
+
+class _OneBlasThread:
+    """Scope in which the OpenBLAS that SuperLU links to runs on one thread.
+
+    The caller's count comes back on exit, also when SuperLU raises, so a
+    caller's own scipy BLAS keeps its threads outside the scope. The package
+    starts no threads, so the scope is neither re-entrant nor safe against
+    another thread setting the count meanwhile.
+    """
+
+    def __enter__(self) -> None:
+        self._calls = _superlu_blas_threads()
+        if self._calls is not None:
+            get, set_ = self._calls
+            self._before = get()
+            set_(1)
+
+    def __exit__(self, *exc) -> None:
+        if self._calls is not None:
+            self._calls[1](self._before)
+
+
 def steady_state(liou: Liouvillian) -> DensityMatrix:
     """Unique trace-one fixed point of the generator.
 
@@ -307,8 +362,9 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     resulting nonsingular system is solved by sparse LU. A sparsity pattern
     new to ``liou.orders`` is factored in the symmetric minimum-degree order
     of A^T + A with diagonal pivots preferred, its column order kept there
-    and logged at debug level; a known one is factored in that order. The
-    result is Hermitized, normalized to unit trace, and validated.
+    and logged at debug level; a known one is factored in that order. Either
+    runs with SuperLU's OpenBLAS on one thread. The result is Hermitized,
+    normalized to unit trace, and validated.
 
     Raises
     ------
@@ -330,14 +386,15 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     data, indices, indptr = _with_trace_row(liou.matrix, d, weight)
     key = (indptr.tobytes(), indices.tobytes())
     try:
-        if key in liou.orders:
-            x = liou.orders[key].solve(data, rhs)
-        else:
-            mat = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
-            lu = splu(mat, permc_spec="MMD_AT_PLUS_A", options=_PIVOTING)
-            x = lu.solve(rhs)
-            liou.orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
-            log.debug("new column order: %d stored entries on %r", len(indices), liou.space)
+        with _OneBlasThread():
+            if key in liou.orders:
+                x = liou.orders[key].solve(data, rhs)
+            else:
+                mat = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
+                lu = splu(mat, permc_spec="MMD_AT_PLUS_A", options=_PIVOTING)
+                x = lu.solve(rhs)
+                liou.orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
+                log.debug("new column order: %d stored entries on %r", len(indices), liou.space)
     except RuntimeError as exc:  # SuperLU reports singularity this way
         raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
     rho = unvec(x, d)

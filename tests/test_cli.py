@@ -213,19 +213,21 @@ def test_g2tau_meta_reproduces_its_run(tmp_path, capsys, monkeypatch, outdir_fro
         assert cli_main(argv) == 0
         capsys.readouterr()
         meta = json.loads((out / "g2tau.meta.json").read_text())
-        assert meta["mech_cutoff"] == 12
+        # the echo is the sidecar's one record of the run
+        assert set(meta) == {"version", "config_echo"}
         echo = meta["config_echo"]
         assert echo["output"]["dir"] == str(out)
         assert echo["model"] == _echo(MqParams(j=0.71, eps=0.01), {}, out, True)["model"]
         assert echo["task"] == {"mech_cutoff": "12", "tau_max": "1.0", "tau_points": "3",
                                 **({"delta_opt": "3.0", "root_branch": "-"} if optimum else {})}
 
-        # rerun from the echo alone, then from the echo and the recorded values as
+        # rerun from the echo alone, then from the echo and its task values as
         # flags, each into another directory
         monkeypatch.delenv("PHONOBLOCK_OUTDIR", raising=False)
-        for rerun_dir, flags in (("b", []), ("c", ["--mech-cutoff", str(meta["mech_cutoff"]),
-                                                   "--tau-max", repr(meta["tau_max"]),
-                                                   "--tau-points", str(meta["tau_points"])])):
+        task = echo["task"]
+        for rerun_dir, flags in (("b", []), ("c", ["--mech-cutoff", task["mech_cutoff"],
+                                                   "--tau-max", task["tau_max"],
+                                                   "--tau-points", task["tau_points"]])):
             echo["output"]["dir"] = str(run_dir / rerun_dir)
             (run_dir / "rerun.cfg").write_text(render_config(echo))
             assert cli_main(["g2tau", "--config", str(run_dir / "rerun.cfg"), *flags]) == 0

@@ -1,5 +1,7 @@
 """Liouvillian action, steady states, and exact propagation."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -206,7 +208,7 @@ def test_basis_rejects_non_hermitian_generator():
 def _tolil_steady_state(liou):
     """Row 0 replaced through a LIL copy, then the same solve as steady_state:
     a fresh factorization in the symmetric minimum-degree order of A^T + A
-    with diagonal pivots preferred."""
+    with diagonal pivots preferred, on the same one BLAS thread."""
     d = liou.dim
     weight = float(np.mean(np.abs(liou.matrix.data)))
     a = liou.matrix.tolil(copy=True)
@@ -215,9 +217,10 @@ def _tolil_steady_state(liou):
     a[0, :] = trace_row
     rhs = np.zeros(d * d, dtype=complex)
     rhs[0] = weight
-    lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
-              options={"SymmetricMode": True, "DiagPivotThresh": 0.01})
-    rho = unvec(lu.solve(rhs), d)
+    with solver._OneBlasThread():
+        lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True, "DiagPivotThresh": 0.01})
+        rho = unvec(lu.solve(rhs), d)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -339,6 +342,70 @@ def test_kron_built_liouvillian_factors_with_fresh_minimum_degree_order(monkeypa
         steady_state(liou)
         assert factorizations[-1][0] == "MMD_AT_PLUS_A"
     assert len(liou.orders) == 1
+
+
+@pytest.fixture
+def blas_threads():
+    """The (get, set) thread-count calls of SuperLU's OpenBLAS; the count the
+    test found comes back after it."""
+    get, set_ = solver._superlu_blas_threads()
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def test_superlu_blas_thread_calls_resolve_once_and_say_so(caplog):
+    # a scipy that renames its OpenBLAS calls fails here, instead of silently
+    # factoring on every thread again
+    solver._superlu_blas_threads.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="phonoblock"):
+        for _ in range(2):
+            assert solver._superlu_blas_threads() is not None
+    [line] = [r.getMessage() for r in caplog.records if r.name == "phonoblock.solver"]
+    assert "openblas_set_num_threads" in line
+
+
+def test_three_mode_steady_state_does_not_depend_on_the_callers_blas_threads(blas_threads):
+    _, set_ = blas_threads
+    params = _three_mode(**_PATTERN_RUN[0])
+    space = model_space(params, 3, 3)
+    liouvillian_basis.cache_clear()
+    steady_state(assemble(params, space))  # the basis now holds the column order
+    states = []
+    for threads in (1, 2):
+        set_(threads)
+        # a fresh factorization and one in the reused order
+        states += [steady_state(model_liouvillian(params, space)).mat,
+                   steady_state(assemble(params, space)).mat]
+    for state in states[1:]:
+        np.testing.assert_array_equal(state, states[0])
+
+
+def test_steady_state_restores_the_callers_blas_threads(monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    liou = assemble(MqParams(delta=1.0, j=2.0, eps=0.2, omega_drv=0.1, n_th=0.01),
+                    two_mode_space(4))
+    seen = []
+
+    def counting_splu(a, **kwargs):
+        seen.append(get())
+        return splu(a, **kwargs)
+
+    def failing_splu(a, **kwargs):
+        seen.append(get())
+        raise RuntimeError("Factor is exactly singular")
+
+    for threads in (1, 2):
+        set_(threads)
+        monkeypatch.setattr(solver, "splu", counting_splu)
+        steady_state(liou)
+        assert get() == threads
+        monkeypatch.setattr(solver, "splu", failing_splu)
+        with pytest.raises(SteadyStateError):
+            steady_state(liou)
+        assert get() == threads
+    # SuperLU itself ran on one thread each time
+    assert seen == [1, 1, 1, 1]
 
 
 def test_basis_lowering_operators_are_read_only_and_exact():
