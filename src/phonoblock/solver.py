@@ -54,7 +54,7 @@ Every factorization and its solve run with the OpenBLAS that SuperLU links
 to set to one thread (:class:`_OneBlasThread`). numpy and scipy each ship an
 OpenBLAS that starts one thread per core, and on few cores their spinning
 workers take CPU from each other: on 2 cores a three-mode readout table
-solves about 30% faster with SuperLU on one thread. The blocked kernels
+solves about 32% faster with SuperLU on one thread. The blocked kernels
 also split their sums by thread count, so for a given BLAS build the
 factors no longer depend on the host's thread count. Larger systems give
 some of the gain back: alone, an 8/3 or 6/5 three-mode point (n = 5184 or
