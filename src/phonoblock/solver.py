@@ -22,43 +22,58 @@ against; it lives in the test suite, in ``tests/oracle.py``.
 
 The steady state is the one-dimensional kernel of L, found by replacing one
 row of L with the vectorized trace functional (spliced into the CSR arrays)
-and solving the resulting nonsingular system with a direct sparse LU
-factorization. Time evolution applies the exact action of the matrix
-exponential (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011) through
-``scipy.sparse.linalg.expm_multiply``.
+and solving the resulting nonsingular system. Time evolution applies the
+exact action of the matrix exponential (Al-Mohy and Higham, SIAM J. Sci.
+Comput. 33, 2011) through ``scipy.sparse.linalg.expm_multiply``.
+
+Which solver a system takes depends on the model. The three-mode model (a
+space with the cavity factor ``a``) is solved by GMRES (Saad and Schultz,
+SIAM J. Sci. Stat. Comput. 7, 856 (1986)), right-preconditioned with the
+exact inverse of the generator's no-jump part rho -> K rho + rho K', where
+K = -i H - sum_k rate_k o_k'o_k / 2, from one d x d eigendecomposition of K
+(d = 56 against n = d^2 = 3136 at the default cutoffs). A sparse LU of a
+three-mode system fills in heavily: on 2 cores it took 331-344 ms per point
+at 6/3 and 1.40-1.45 s at 8/3, where GMRES takes 9-27 ms (7 to 12
+iterations over the fig11 presets, and up to 9 more in the correction
+step), with g2, g2a and n_b nearer a refined dense solve: within 1.3e-15
+relative at four fig11 points, where the LU missed by up to 2.1e-14. The
+correction step, a second GMRES solve for the residual, brings the solve
+there: without it GMRES missed by up to 1.9e-10. Every other space, the two-mode model's and arbitrary operators', is
+solved by a direct sparse LU: at the two-mode default cutoff (n = 324)
+GMRES was no faster than the LU in a reused column order (1.2 against 1.1
+ms on fig3b rows), and the LU keeps the two-mode tables bit for bit.
 
 Everything a space needs across points lives in its cached
 :class:`LiouvillianBasis`: the term superoperators, the read-only lowering
 operators the observables use, and SuperLU's column order for each sparsity
-pattern of the trace-row system. The order depends only on the pattern,
-which is keyed exactly, since a zero rate or drive drops entries on the same
-space. A pattern's first system is factored in the minimum-degree order of
-A^T + A (``permc_spec="MMD_AT_PLUS_A"``) in SuperLU's symmetric mode, which
-takes the diagonal pivot unless it is below ``DiagPivotThresh`` = 0.01 of
-its column's largest entry. On the two- and three-mode preset points
-checked, every pivot was the diagonal one, so the factors keep the fill of
-the symmetric order, less than COLAMD's with partial pivoting, and g2 comes
-out to about 1e-12 relative. Partial pivoting lost up to 1e-5 there, and a
-few percent at far-detuned, weakly driven points. A later
+pattern of an LU-solved trace-row system. The order depends only on the
+pattern, which is keyed exactly, since a zero rate or drive drops entries on
+the same space. A pattern's first system is factored in the minimum-degree
+order of A^T + A (``permc_spec="MMD_AT_PLUS_A"``) in SuperLU's symmetric
+mode, which takes the diagonal pivot unless it is below ``DiagPivotThresh``
+= 0.01 of its column's largest entry. On the two- and three-mode preset
+points checked, every pivot was the diagonal one, so the factors keep the
+fill of the symmetric order, less than COLAMD's with partial pivoting, and
+g2 comes out to about 1e-12 relative. Partial pivoting lost up to 1e-5
+there, and a few percent at far-detuned, weakly driven points. A later
 system is factored as the symmetric permutation P^T A P with
-``permc_spec="NATURAL"`` and the same options, each column's entries kept
-in A's own storage order. SuperLU then meets the same entries in the same
-order and breaks pivot ties towards the same diagonal entry, so factors and
+``permc_spec="NATURAL"`` and the same options, each column's entries kept in
+A's own storage order. SuperLU then meets the same entries in the same order
+and breaks pivot ties towards the same diagonal entry, so factors and
 solution are bit for bit those of a fresh factorization. Permuting only the
 columns would not do: SuperLU prefers the diagonal of the matrix it is
 given, and on tied pivots that moves the solution. An evicted basis takes
 its operators and orders with it, so ``liouvillian_basis.cache_clear()``
 resets all per-space state.
 
-Every factorization and its solve run with the OpenBLAS that SuperLU links
-to set to one thread (:class:`_OneBlasThread`). numpy and scipy each ship an
-OpenBLAS that starts one thread per core, and on few cores their spinning
-workers take CPU from each other: on 2 cores a three-mode readout table
-solves about 32% faster with SuperLU on one thread. The blocked kernels
-also split their sums by thread count, so for a given BLAS build the
-factors no longer depend on the host's thread count. Larger systems give
-some of the gain back: alone, an 8/3 or 6/5 three-mode point (n = 5184 or
-7056) factors about 15% slower on one thread than on two.
+Every steady-state solve runs with the OpenBLAS that SuperLU links to and
+numpy's own OpenBLAS, which GMRES and the preconditioner's dense products
+use, each set to one thread (:class:`_OneBlasThread`). numpy and scipy each
+ship an OpenBLAS that starts one thread per core, and on few cores their
+spinning workers take CPU from each other: on 2 cores a three-mode readout
+table factored about 32% faster with SuperLU on one thread. The blocked
+kernels also split their sums by thread count, so for a given BLAS build
+a steady state no longer depends on the host's thread count.
 """
 
 from __future__ import annotations
@@ -70,7 +85,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, norm as sparse_norm, splu
+from scipy.sparse.linalg import (
+    LinearOperator,
+    expm_multiply,
+    gmres,
+    norm as sparse_norm,
+    splu,
+)
 
 from .errors import (
     EvolutionError,
@@ -110,6 +131,15 @@ BASIS_CACHE_SIZE = 4
 # order: prefer the diagonal pivot unless it is below 1% of its column's
 # largest entry, which keeps the symmetric fill-reducing order intact.
 _PIVOTING = {"SymmetricMode": True, "DiagPivotThresh": 0.01}
+# GMRES of a three-mode steady state: restart length, restarts allowed per
+# call, and the relative residual of the solve and of its correction step.
+KRYLOV_RESTART = 100
+KRYLOV_MAX_RESTARTS = 5
+KRYLOV_RTOL = 1e-12
+CORRECTION_RTOL = 1e-6
+# Smallest |lambda_i + conj(lambda_j)| the preconditioner divides by, relative
+# to the largest: a dark state of K (an undriven ground state) has lambda = 0.
+SYLVESTER_FLOOR = 1e-12
 
 
 # trace-row sparsity pattern (indptr, indices bytes) -> its column order
@@ -309,67 +339,157 @@ class ColumnOrder:
         return splu(mat, permc_spec="NATURAL", options=_PIVOTING).solve(b)[self.perm]
 
 
-@functools.cache
-def _superlu_blas_threads() -> tuple | None:
-    """The (get, set) thread-count calls of the OpenBLAS SuperLU links to, or
-    None for a BLAS without them (MKL, Accelerate). Resolved once, at the
-    first factorization: dlsym on SuperLU's extension searches its
-    dependencies, so it finds exactly the BLAS SuperLU calls."""
+# (get, set) names of OpenBLAS's thread-count calls: the scipy and numpy
+# wheels' builds (numpy's ILP64 one adds the 64_ suffix), then a system OpenBLAS
+_OPENBLAS_THREAD_CALLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("", "64_")
+)
+
+
+def _openblas_thread_calls(owner: str, path: str) -> tuple | None:
+    """The (get, set) thread-count calls of the OpenBLAS that the extension
+    at ``path`` links to, or None for a BLAS without them (MKL, Accelerate):
+    dlsym on the extension searches its dependencies, so it finds exactly
+    the BLAS that extension calls."""
     import ctypes
 
-    from scipy.sparse.linalg._dsolve import _superlu
-
-    lib = ctypes.CDLL(_superlu.__file__)
-    for prefix in ("scipy_openblas_", "openblas_"):  # scipy wheels, system OpenBLAS
+    lib = ctypes.CDLL(path)
+    for names in _OPENBLAS_THREAD_CALLS:
         try:
-            get, set_ = lib[prefix + "get_num_threads"], lib[prefix + "set_num_threads"]
+            get, set_ = (lib[name] for name in names)
         except AttributeError:
             continue
         get.restype, get.argtypes = ctypes.c_int, []
         set_.restype, set_.argtypes = None, [ctypes.c_int]
-        log.debug("SuperLU factors on one BLAS thread, set through %sset_num_threads", prefix)
+        log.debug("%s runs on one BLAS thread, set through %s", owner, names[1])
         return get, set_
-    log.debug("no OpenBLAS thread calls in SuperLU's BLAS; it keeps its default threads")
+    log.debug("no OpenBLAS thread calls in %s's BLAS; it keeps its default threads", owner)
     return None
 
 
-class _OneBlasThread:
-    """Scope in which the OpenBLAS that SuperLU links to runs on one thread.
+@functools.cache
+def _superlu_blas_threads() -> tuple | None:
+    """Thread calls of the OpenBLAS SuperLU links to, resolved once, at the
+    first solve."""
+    from scipy.sparse.linalg._dsolve import _superlu
 
-    The caller's count comes back on exit, also when SuperLU raises, so a
-    caller's own scipy BLAS keeps its threads outside the scope. The package
+    return _openblas_thread_calls("SuperLU", _superlu.__file__)
+
+
+@functools.cache
+def _numpy_blas_threads() -> tuple | None:
+    """Thread calls of numpy's own OpenBLAS, which GMRES and the
+    preconditioner's dense products run on; resolved once."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+
+    return _openblas_thread_calls("numpy", _multiarray_umath.__file__)
+
+
+class _OneBlasThread:
+    """Scope in which the OpenBLAS pools of a steady-state solve, SuperLU's
+    and numpy's, run on one thread each.
+
+    The caller's counts come back on exit, also when the solve raises, so a
+    caller's own BLAS keeps its threads outside the scope. The package
     starts no threads, so the scope is neither re-entrant nor safe against
-    another thread setting the count meanwhile.
+    another thread setting a count meanwhile.
     """
 
     def __enter__(self) -> None:
-        self._calls = _superlu_blas_threads()
-        if self._calls is not None:
-            get, set_ = self._calls
-            self._before = get()
-            set_(1)
+        self._restore = []
+        for calls in (_superlu_blas_threads(), _numpy_blas_threads()):
+            if calls is not None:
+                get, set_ = calls
+                self._restore.append((set_, get()))
+                set_(1)
 
     def __exit__(self, *exc) -> None:
-        if self._calls is not None:
-            self._calls[1](self._before)
+        # in reverse, in case both pools are one library
+        for set_, before in reversed(self._restore):
+            set_(before)
+
+
+def _no_jump_inverse(matrix: sp.csr_matrix, d: int):
+    """Exact inverse of Y -> K Y + Y K', on column-major vectors, where K =
+    -i H - sum_k rate_k o_k'o_k / 2 is the generator's no-jump part.
+
+    K is read from L itself: the top-left d x d block of L is K +
+    conj(K_00) I when no jump operator has a (0, 0) entry, and the
+    imaginary part of that shift cancels in K Y + Y K'. With K = V diag(l)
+    V^-1, the inverse is Y -> V [(V^-1 Y V^-') / (l_i + conj(l_j))] V'.
+    """
+    block = matrix[:d, :d].toarray()
+    k = block - 0.5 * block[0, 0] * np.eye(d)
+    try:
+        lam, v = np.linalg.eig(k)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(f"no eigenbasis for the preconditioner: {exc}") from exc
+    denom = lam[:, None] + lam.conj()[None, :]
+    floor = SYLVESTER_FLOOR * float(np.max(np.abs(denom)))
+    denom[np.abs(denom) < floor] = -floor
+    v_h, v_inv_h = v.conj().T, v_inv.conj().T
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        sylvester = (v_inv @ y.reshape(d, d).T @ v_inv_h) / denom
+        return (v @ sylvester @ v_h).reshape(-1, order="F")
+
+    return apply
+
+
+def _krylov_solve(a: sp.csr_matrix, rhs: np.ndarray, precondition) -> tuple[np.ndarray, list[int]]:
+    """x with A x = rhs by GMRES, right-preconditioned: GMRES solves
+    (A M^-1) z = rhs and x = M^-1 z; then one correction step solves for
+    the residual and adds its M^-1 dz. Returns x and each call's iterations."""
+    n = a.shape[0]
+    preconditioned = LinearOperator((n, n), matvec=lambda z: a @ precondition(z), dtype=complex)
+    iterations: list[int] = []
+
+    def solve(b: np.ndarray, rtol: float) -> np.ndarray:
+        steps: list[float] = []  # one residual estimate per iteration
+        z, info = gmres(preconditioned, b, rtol=rtol, atol=0.0, restart=KRYLOV_RESTART,
+                        maxiter=KRYLOV_MAX_RESTARTS, callback=steps.append,
+                        callback_type="pr_norm")
+        if info:
+            residual = np.linalg.norm(b - preconditioned @ z) / np.linalg.norm(b)
+            raise SteadyStateError(
+                f"GMRES did not converge in {len(steps)} iterations: relative residual "
+                f"{residual:.3e} against {rtol:.0e}"
+            )
+        iterations.append(len(steps))
+        return precondition(z)
+
+    x = solve(rhs, KRYLOV_RTOL)
+    x += solve(rhs - a @ x, CORRECTION_RTOL)
+    return x, iterations
 
 
 def steady_state(liou: Liouvillian) -> DensityMatrix:
     """Unique trace-one fixed point of the generator.
 
     One row of L is replaced by the trace functional (scaled to the mean
-    magnitude of L's entries to keep the system well conditioned) and the
-    resulting nonsingular system is solved by sparse LU. A sparsity pattern
-    new to ``liou.orders`` is factored in the symmetric minimum-degree order
-    of A^T + A with diagonal pivots preferred, its column order kept there
-    and logged at debug level; a known one is factored in that order. Either
-    runs with SuperLU's OpenBLAS on one thread. The result is Hermitized,
-    normalized to unit trace, and validated.
+    magnitude of L's entries to keep the system well conditioned). On a
+    space with the cavity factor ``a`` the resulting nonsingular system is
+    solved by GMRES, right-preconditioned with the inverse of L's no-jump
+    part, and one correction step; the iterations and the residual are
+    logged at debug level. On every other space it is solved by sparse LU.
+    A sparsity pattern new to ``liou.orders`` is factored in the symmetric
+    minimum-degree order of A^T + A with diagonal pivots preferred, its
+    column order kept there and logged at debug level; a known one is
+    factored in that order. Either solver runs with SuperLU's and numpy's
+    OpenBLAS on one thread. The result is Hermitized, normalized to unit
+    trace, and validated.
 
     Raises
     ------
     SteadyStateError
-        If the factorization fails or the residual ||L vec(rho)||_max
+        If the factorization fails, GMRES exhausts ``KRYLOV_MAX_RESTARTS``
+        restarts, K has no eigenbasis, or the residual ||L vec(rho)||_max
         exceeds tolerance (degenerate dark states, zero damping).
     StateValidityError
         If the solution violates density-matrix tolerances.
@@ -385,9 +505,13 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     rhs[0] = weight
     data, indices, indptr = _with_trace_row(liou.matrix, d, weight)
     key = (indptr.tobytes(), indices.tobytes())
+    krylov = "a" in liou.space.labels
     try:
         with _OneBlasThread():
-            if key in liou.orders:
+            if krylov:
+                a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+                x, iterations = _krylov_solve(a, rhs, _no_jump_inverse(liou.matrix, d))
+            elif key in liou.orders:
                 x = liou.orders[key].solve(data, rhs)
             else:
                 mat = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
@@ -404,10 +528,14 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
         raise SteadyStateError(f"steady-state trace is degenerate: {tr}")
     rho = rho / tr
     residual = float(np.max(np.abs(liou.matrix @ vec(rho))))
-    if residual > STEADY_RESIDUAL_RTOL * scale:
+    gate = STEADY_RESIDUAL_RTOL * scale
+    if krylov:
+        log.debug("GMRES: %d + %d iterations, residual %.2e of the gate on %r",
+                  *iterations, residual / gate, liou.space)
+    if residual > gate:
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds "
-            f"{STEADY_RESIDUAL_RTOL:.0e} * ||L||_max = {STEADY_RESIDUAL_RTOL * scale:.3e}"
+            f"{STEADY_RESIDUAL_RTOL:.0e} * ||L||_max = {gate:.3e}"
         )
     state = DensityMatrix(liou.space, rho)
     check_state(state)

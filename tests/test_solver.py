@@ -1,13 +1,14 @@
 """Liouvillian action, steady states, and exact propagation."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import gmres, splu
 
-from phonoblock.correlations import g2_tau
+from phonoblock.correlations import g2_tau, g2_zero, mean_occupation
 from phonoblock.errors import (
     EvolutionError,
     ParameterError,
@@ -16,6 +17,7 @@ from phonoblock.errors import (
     SteadyStateError,
 )
 from phonoblock.hilbert import (
+    DensityMatrix,
     Operator,
     check_state,
     expectation,
@@ -42,6 +44,7 @@ from phonoblock.solver import (
     unvec,
     vec,
 )
+from phonoblock.sweep import figure_panels
 from oracle import (
     apply,
     build_liouvillian,
@@ -206,9 +209,10 @@ def test_basis_rejects_non_hermitian_generator():
 
 
 def _tolil_steady_state(liou):
-    """Row 0 replaced through a LIL copy, then the same solve as steady_state:
-    a fresh factorization in the symmetric minimum-degree order of A^T + A
-    with diagonal pivots preferred, on the same one BLAS thread."""
+    """Row 0 replaced through a LIL copy, then the solve steady_state makes on
+    a space without a cavity: a fresh factorization in the symmetric
+    minimum-degree order of A^T + A with diagonal pivots preferred, on the
+    same one BLAS thread."""
     d = liou.dim
     weight = float(np.mean(np.abs(liou.matrix.data)))
     a = liou.matrix.tolil(copy=True)
@@ -278,9 +282,8 @@ def _assert_owned_read_only(orders):
             assert not arr.flags.writeable
 
 
-@pytest.mark.parametrize(
-    "make, mech, cavity", [(MqParams, 5, None), (_three_mode, 3, 3)], ids=["two", "three"]
-)
+# three-mode spaces are solved by GMRES and factor nothing
+@pytest.mark.parametrize("make, mech, cavity", [(MqParams, 5, None)], ids=["two"])
 def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
     monkeypatch, make, mech, cavity
 ):
@@ -370,11 +373,11 @@ def test_three_mode_steady_state_does_not_depend_on_the_callers_blas_threads(bla
     params = _three_mode(**_PATTERN_RUN[0])
     space = model_space(params, 3, 3)
     liouvillian_basis.cache_clear()
-    steady_state(assemble(params, space))  # the basis now holds the column order
+    steady_state(assemble(params, space))
     states = []
     for threads in (1, 2):
         set_(threads)
-        # a fresh factorization and one in the reused order
+        # a Kronecker-built and a basis-built generator, both by GMRES
         states += [steady_state(model_liouvillian(params, space)).mat,
                    steady_state(assemble(params, space)).mat]
     for state in states[1:]:
@@ -406,6 +409,111 @@ def test_steady_state_restores_the_callers_blas_threads(monkeypatch, blas_thread
         assert get() == threads
     # SuperLU itself ran on one thread each time
     assert seen == [1, 1, 1, 1]
+
+
+def test_krylov_solve_runs_numpy_blas_on_one_thread_too(monkeypatch, blas_threads):
+    get, set_ = blas_threads
+    numpy_get, numpy_set = solver._numpy_blas_threads()
+    before = numpy_get()
+    params = _three_mode(**_PATTERN_RUN[0])
+    liou = assemble(params, model_space(params, 3, 3))
+    seen = []
+
+    def counting_gmres(*args, **kwargs):
+        seen.append((get(), numpy_get()))
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "gmres", counting_gmres)
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            numpy_set(threads)
+            steady_state(liou)
+            assert (get(), numpy_get()) == (threads, threads)
+    finally:
+        numpy_set(before)
+    # the solve and its correction step, twice
+    assert seen == [(1, 1)] * 4
+
+
+def _readout_scalars(rho, space):
+    b = lowering(space, "m")
+    return np.array([g2_zero(rho, b), g2_zero(rho, lowering(space, "a")),
+                     mean_occupation(rho, b)])
+
+
+@pytest.mark.parametrize("mech, cavity", [(6, 3), (8, 3)])
+def test_krylov_steady_state_matches_the_lu_of_the_same_generator(mech, cavity):
+    spec = figure_panels("fig11c")["fig11c"]
+    _, g_oms = spec.axes[0]
+    params = spec.params_at({"g_om": g_oms[-1]})  # g_om = 10
+    space = model_space(params, mech, cavity)
+    liou = assemble(params, space)
+    lu = DensityMatrix(space, _tolil_steady_state(liou))
+    np.testing.assert_allclose(_readout_scalars(steady_state(liou), space),
+                               _readout_scalars(lu, space), rtol=1e-12, atol=0)
+
+
+def test_undriven_three_mode_point_is_the_ground_state():
+    # the ground state is a dark state of K (eigenvalue 0), which the
+    # preconditioner must not divide by
+    params = DetectionParams(base=MqParams(delta=0.5, j=1.0), g_om=0.3, gamma_cav=2.0)
+    space = model_space(params, 3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = steady_state(assemble(params, space))
+    np.testing.assert_allclose(rho.mat, fock_dm(space).mat, rtol=0, atol=1e-14)
+
+
+def test_krylov_solve_near_an_exceptional_point_of_k_matches_the_lu():
+    # undriven, the qubit-NAMR one-excitation block of K is defective when
+    # j = (gamma - kappa) / 4; the drive eps splits it only slightly
+    params = DetectionParams(base=MqParams(kappa=1.0, gamma=3.0, j=0.5, delta=0.0, eps=0.1),
+                             g_om=0.0, gamma_cav=10.0)
+    liou = assemble(params, model_space(params, 3, 2))
+    np.testing.assert_allclose(steady_state(liou).mat, _tolil_steady_state(liou),
+                               rtol=0, atol=1e-12)
+
+
+def test_exhausted_krylov_budget_raises(monkeypatch):
+    monkeypatch.setattr(solver, "KRYLOV_RESTART", 2)
+    monkeypatch.setattr(solver, "KRYLOV_MAX_RESTARTS", 1)
+    params = _three_mode(**_PATTERN_RUN[0])
+    liou = assemble(params, model_space(params, 3, 3))
+    with pytest.raises(SteadyStateError, match="GMRES did not converge in 2 iterations"):
+        steady_state(liou)
+
+
+def test_singular_eigenbasis_raises_steady_state_error(monkeypatch):
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    params = _three_mode(**_PATTERN_RUN[0])
+    liou = assemble(params, model_space(params, 3, 3))
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(SteadyStateError, match="no eigenbasis"):
+        steady_state(liou)
+
+
+def test_three_mode_steady_state_leaves_global_rng_untouched():
+    params = _three_mode(**_PATTERN_RUN[0])
+    liou = assemble(params, model_space(params, 3, 3))
+    np.random.seed(1234)
+    before = np.random.get_state()
+    steady_state(liou)
+    after = np.random.get_state()
+    assert before[0] == after[0]
+    assert np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+
+
+def test_krylov_solve_logs_its_iterations_and_residual(caplog):
+    params = _three_mode(**_PATTERN_RUN[0])
+    liou = assemble(params, model_space(params, 3, 3))
+    with caplog.at_level(logging.DEBUG, logger="phonoblock"):
+        steady_state(liou)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("GMRES")]
+    assert "iterations, residual" in line and "of the gate" in line
 
 
 def test_basis_lowering_operators_are_read_only_and_exact():

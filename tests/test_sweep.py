@@ -320,6 +320,29 @@ def test_tables_depend_on_neither_cache_state_nor_point_order():
     assert cold == warm == reversed_cold
 
 
+def test_three_mode_tables_depend_on_neither_cache_state_nor_point_order():
+    # every three-mode point is solved by GMRES, which keeps no state between
+    # points; n_th = 0 drops the thermal channels' entries, as above
+    fixed = DetectionParams(base=MqParams(j=3.0, eps=0.2, omega_drv=0.1, phi=0.3),
+                            g_om=0.5, gamma_cav=10.0)
+    axes = (("n_th", (0.0, 0.01)), ("delta", (-1.0, 2.0)))
+    outputs = ("g2a_zero", "g2_zero", "converged")
+
+    def by_point(axes):
+        cols = run_sweep(SweepSpec(axes=axes, fixed=fixed, outputs=outputs[:2],
+                                   mech_cutoff=3, cavity_cutoff=2)).columns
+        return {(cols["n_th"][i], cols["delta"][i]): tuple(cols[k][i].tobytes() for k in outputs)
+                for i in range(len(cols["n_th"]))}
+
+    liouvillian_basis.cache_clear()
+    cold = by_point(axes)
+    warm = by_point(axes)
+    liouvillian_basis.cache_clear()
+    reversed_cold = by_point(tuple((name, values[::-1]) for name, values in axes))
+    assert len(cold) == 4
+    assert cold == warm == reversed_cold
+
+
 # the fixed params and cutoff of the cache-state test above, over the two
 # trace-row patterns of n_th = 0 and n_th > 0
 _TWO_PATTERNS = SweepSpec(axes=(("n_th", (0.0, 0.01)),),
