@@ -3,18 +3,18 @@
 A sweep row skips its cutoff+2 re-solve when the relative Fock tail
 |p_N| / p_2 of every truncated boson mode is below that threshold. This
 script checks the rule against the re-solve itself. It solves every row of
-every solving figure preset, and of the criterion-7 readout scan, at the
-preset's default cutoffs and at lowered mechanical cutoffs down to 3. Each
-row is solved at mechanical cutoff N and again at N + 2, with the cavity
-cutoff kept. The row's tail is the largest tail of its modes at N. Its
-change is the largest relative change of ``g2_zero``, ``n_b`` and (three-mode)
-``g2a_zero`` from N to N + 2. The re-solve rejects the row when that change
-reaches ``CONVERGENCE_RTOL``.
+every solving figure preset (``fig11b`` is acceptance criterion 7's readout
+scan) at the preset's default cutoffs and at lowered mechanical cutoffs down
+to 3. Each row is solved at mechanical cutoff N and again at N + 2, with the
+cavity cutoff kept. The row's tail is the largest tail of its modes at N.
+Its change is the largest relative change of ``g2_zero``, ``n_b`` and
+(three-mode) ``g2a_zero`` from N to N + 2. The re-solve rejects the row when
+that change reaches ``CONVERGENCE_RTOL``.
 
 For each preset and cutoff the table holds the row count, the failed and
 rejected counts, the smallest tail among rejected rows, the largest tail
 among accepted rows, and the count and largest change of the rows the rule
-skips. Run from the repository root (about 15 minutes on one core)::
+skips. Run from the repository root (about 6 minutes on one core)::
 
     PYTHONPATH=src python3 scripts/convergence_study.py
     PYTHONPATH=src python3 scripts/convergence_study.py --presets fig3b,fig6b --out /tmp/s.json
@@ -33,10 +33,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from phonoblock.errors import PhonoblockError
-from phonoblock.model import DetectionParams, MqParams, model_space
+from phonoblock.model import model_space
 from phonoblock.sweep import (
     CONVERGENCE_RTOL,
     CONVERGENCE_TAIL_RTOL,
@@ -55,21 +53,9 @@ LOWEST_CUTOFF = 3
 HIGHEST_LOWERED_CUTOFF = 8
 
 
-def criterion_7_scan() -> SweepSpec:
-    """The readout scan of acceptance criterion 7: 61 three-mode points on
-    the '+' optimum at delta_opt = 3, mech cutoff 6 and cavity cutoff 3."""
-    base = MqParams(j=3.0, eps=0.2, kappa=1.0, gamma=1.0, n_th=1e-3)
-    return SweepSpec(
-        axes=(("delta", tuple(np.linspace(-9.0, 9.0, 61))),),
-        fixed=DetectionParams(base=base, g_om=0.1, gamma_cav=10.0),
-        delta_opt=3.0, root_branch="+", mech_cutoff=6, cavity_cutoff=3,
-    )
-
-
 def solving_specs(names: list[str] | None) -> dict[str, SweepSpec]:
-    """Every preset that solves a steady state, then the criterion-7 scan."""
+    """Every preset that solves a steady state."""
     specs = {name: spec for name, spec in _PRESETS.items() if spec.outputs != ("eta_phi_roots",)}
-    specs["criterion7"] = criterion_7_scan()
     if names is None:
         return specs
     unknown = sorted(set(names) - set(specs))
@@ -83,7 +69,7 @@ def study_cutoffs(spec: SweepSpec) -> list[int]:
     return [*lowered, spec.mech_cutoff]
 
 
-# fig11a, fig11b and criterion 7 share rows; the solves between them fit this cache
+# fig11a and fig11b share rows; the solves between them fit this cache
 @functools.lru_cache(maxsize=4096)
 def solve(params, mech: int, cavity: int | None) -> dict[str, float] | None:
     """The checked scalars and the tail of each truncated mode, on the space

@@ -31,49 +31,44 @@ space with the cavity factor ``a``) is solved by GMRES (Saad and Schultz,
 SIAM J. Sci. Stat. Comput. 7, 856 (1986)), right-preconditioned with the
 exact inverse of the generator's no-jump part rho -> K rho + rho K', where
 K = -i H - sum_k rate_k o_k'o_k / 2, from one d x d eigendecomposition of K
-(d = 56 against n = d^2 = 3136 at the default cutoffs). A sparse LU of a
-three-mode system fills in heavily: on 2 cores it took 331-344 ms per point
-at 6/3 and 1.40-1.45 s at 8/3, where GMRES takes 9-27 ms (7 to 12
-iterations over the fig11 presets, and up to 9 more in the correction
-step), with g2, g2a and n_b nearer a refined dense solve: within 1.3e-15
-relative at four fig11 points, where the LU missed by up to 2.1e-14. The
-correction step, a second GMRES solve for the residual, brings the solve
-there: without it GMRES missed by up to 1.9e-10. Every other space, the two-mode model's and arbitrary operators', is
-solved by a direct sparse LU: at the two-mode default cutoff (n = 324)
-GMRES was no faster than the LU in a reused column order (1.2 against 1.1
-ms on fig3b rows), and the LU keeps the two-mode tables bit for bit.
+(d = 56 against n = d^2 = 3136 at the default cutoffs), then one correction
+step that solves for the residual. On 2 cores a point takes 9-27 ms (7 to 12
+iterations over the fig11 presets, and up to 9 more in the correction), and
+g2, g2a and n_b lie within 1.3e-15 relative of a refined dense solve at four
+fig11 points; without the correction GMRES missed by up to 1.9e-10. GMRES
+keeps no state between points.
+
+Every other space, the two-mode model's and arbitrary operators', is solved
+by sparse LU. GMRES with the same preconditioner does not hold there: at
+cutoff 18 it stopped at a relative residual of 1.4-3.5e-12 against its
+1e-12 target after 134-172 iterations (fig6b and fig6d, eps >= 0.79),
+fig8a's sweep took 10.6-13.9 s against the LU's 7.7-11.3 s, and at fig4b's
+worst point (gamma = 4.12, j = 1.13) it landed 1.3e-11 from a refined dense
+solve, against the LU's 3.4e-13.
 
 Everything a space needs across points lives in its cached
 :class:`LiouvillianBasis`: the term superoperators, the read-only lowering
-operators the observables use, and SuperLU's column order for each sparsity
-pattern of an LU-solved trace-row system. The order depends only on the
-pattern, which is keyed exactly, since a zero rate or drive drops entries on
-the same space. A pattern's first system is factored in the minimum-degree
-order of A^T + A (``permc_spec="MMD_AT_PLUS_A"``) in SuperLU's symmetric
-mode, which takes the diagonal pivot unless it is below ``DiagPivotThresh``
-= 0.01 of its column's largest entry. On the two- and three-mode preset
-points checked, every pivot was the diagonal one, so the factors keep the
-fill of the symmetric order, less than COLAMD's with partial pivoting, and
-g2 comes out to about 1e-12 relative. Partial pivoting lost up to 1e-5
-there, and a few percent at far-detuned, weakly driven points. A later
-system is factored as the symmetric permutation P^T A P with
-``permc_spec="NATURAL"`` and the same options, each column's entries kept in
-A's own storage order. SuperLU then meets the same entries in the same order
-and breaks pivot ties towards the same diagonal entry, so factors and
-solution are bit for bit those of a fresh factorization. Permuting only the
-columns would not do: SuperLU prefers the diagonal of the matrix it is
-given, and on tied pivots that moves the solution. An evicted basis takes
-its operators and orders with it, so ``liouvillian_basis.cache_clear()``
-resets all per-space state.
+operators the observables use, and a :class:`ColumnOrder` for each sparsity
+pattern of an LU-solved trace-row system, keyed exactly, since a zero rate
+or drive drops entries on the same space. A new pattern's order comes from
+one factorization in the minimum-degree order of A^T + A
+(``permc_spec="MMD_AT_PLUS_A"``) in SuperLU's symmetric mode, which takes the
+diagonal pivot unless it is below ``DiagPivotThresh`` = 0.01 of its
+column's largest entry. Every system, the pattern's first included, is then
+factored and solved as the symmetric permutation P^T A P in that order, so
+a table depends neither on the cache's state nor on the order of its
+points. On the preset points checked every pivot was the diagonal one, and
+g2 comes out within about 1e-12 relative of a refined dense solve. An
+evicted basis takes its operators and orders with it, so
+``liouvillian_basis.cache_clear()`` resets all per-space state.
 
-Every steady-state solve runs with the OpenBLAS that SuperLU links to and
-numpy's own OpenBLAS, which GMRES and the preconditioner's dense products
-use, each set to one thread (:class:`_OneBlasThread`). numpy and scipy each
-ship an OpenBLAS that starts one thread per core, and on few cores their
-spinning workers take CPU from each other: on 2 cores a three-mode readout
-table factored about 32% faster with SuperLU on one thread. The blocked
-kernels also split their sums by thread count, so for a given BLAS build
-a steady state no longer depends on the host's thread count.
+Every steady-state solve runs with each OpenBLAS it calls set to one thread
+(:class:`_OneBlasThread`): the one SuperLU links to, whose LAPACK GMRES
+calls too, and numpy's own, which the preconditioner's dense products use.
+numpy and scipy each ship an OpenBLAS that starts one thread per core, and
+on few cores their spinning workers take CPU from each other. The blocked
+kernels also split their sums by thread count, so for a given BLAS build a
+steady state does not depend on the host's thread count.
 """
 
 from __future__ import annotations
@@ -127,9 +122,9 @@ MAX_SUBSTEPS = 100_000
 # detect uses two (the readout space and the two-mode reference at mech
 # cutoff + 2).
 BASIS_CACHE_SIZE = 4
-# SuperLU options of every steady-state factorization, fresh or in a reused
-# order: prefer the diagonal pivot unless it is below 1% of its column's
-# largest entry, which keeps the symmetric fill-reducing order intact.
+# SuperLU options of every steady-state factorization: prefer the diagonal
+# pivot unless it is below 1% of its column's largest entry, which keeps the
+# symmetric fill-reducing order intact.
 _PIVOTING = {"SymmetricMode": True, "DiagPivotThresh": 0.01}
 # GMRES of a three-mode steady state: restart length, restarts allowed per
 # call, and the relative residual of the solve and of its correction step.
@@ -304,13 +299,15 @@ class ColumnOrder:
     indptr: np.ndarray
 
     @classmethod
-    def of_pattern(
-        cls, indices: np.ndarray, indptr: np.ndarray, perm: np.ndarray
+    def of_system(
+        cls, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
     ) -> "ColumnOrder":
-        """Layout of the CSR pattern (indices, indptr) under ``perm``, the
-        ``perm_c`` of a SuperLU factorization of that pattern."""
+        """Order and layout of the CSR matrix (data, indices, indptr): one
+        factorization in the minimum-degree order of A^T + A supplies the
+        order, its ``perm_c``."""
         n = len(indptr) - 1
-        perm = np.asarray(perm)
+        mat = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
+        perm = np.asarray(splu(mat, permc_spec="MMD_AT_PLUS_A", options=_PIVOTING).perm_c)
         # columns relabelled, rows in A's labels: tocsc keeps them ascending,
         # as in A's CSC arrays; the entry numbers become the gather
         slots = sp.csr_matrix(
@@ -370,24 +367,21 @@ def _openblas_thread_calls(owner: str, path: str) -> tuple | None:
 
 
 @functools.cache
-def _superlu_blas_threads() -> tuple | None:
-    """Thread calls of the OpenBLAS SuperLU links to, resolved once, at the
-    first solve."""
+def _blas_pools() -> tuple[tuple, ...]:
+    """(get, set) thread calls of each OpenBLAS a steady-state solve runs on,
+    resolved once, at the first solve: the one SuperLU links to, whose LAPACK
+    (``lartg``, ``trsv``) GMRES calls too, and numpy's own, which the
+    preconditioner's dense products run on."""
     from scipy.sparse.linalg._dsolve import _superlu
 
-    return _openblas_thread_calls("SuperLU", _superlu.__file__)
-
-
-@functools.cache
-def _numpy_blas_threads() -> tuple | None:
-    """Thread calls of numpy's own OpenBLAS, which GMRES and the
-    preconditioner's dense products run on; resolved once."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath
 
-    return _openblas_thread_calls("numpy", _multiarray_umath.__file__)
+    pools = (_openblas_thread_calls("SuperLU", _superlu.__file__),
+             _openblas_thread_calls("numpy", _multiarray_umath.__file__))
+    return tuple(calls for calls in pools if calls is not None)
 
 
 class _OneBlasThread:
@@ -402,11 +396,9 @@ class _OneBlasThread:
 
     def __enter__(self) -> None:
         self._restore = []
-        for calls in (_superlu_blas_threads(), _numpy_blas_threads()):
-            if calls is not None:
-                get, set_ = calls
-                self._restore.append((set_, get()))
-                set_(1)
+        for get, set_ in _blas_pools():
+            self._restore.append((set_, get()))
+            set_(1)
 
     def __exit__(self, *exc) -> None:
         # in reverse, in case both pools are one library
@@ -422,6 +414,11 @@ def _no_jump_inverse(matrix: sp.csr_matrix, d: int):
     conj(K_00) I when no jump operator has a (0, 0) entry, and the
     imaginary part of that shift cancels in K Y + Y K'. With K = V diag(l)
     V^-1, the inverse is Y -> V [(V^-1 Y V^-') / (l_i + conj(l_j))] V'.
+
+    An eigenvector of K with Re l = 0 is annihilated by every jump operator
+    and is an eigenvector of H, so its projector is a fixed point of L. One
+    such dark state (an undriven ground state) is floored; two or more raise
+    SteadyStateError, since the fixed point is then not unique.
     """
     block = matrix[:d, :d].toarray()
     k = block - 0.5 * block[0, 0] * np.eye(d)
@@ -432,6 +429,9 @@ def _no_jump_inverse(matrix: sp.csr_matrix, d: int):
         raise SteadyStateError(f"no eigenbasis for the preconditioner: {exc}") from exc
     denom = lam[:, None] + lam.conj()[None, :]
     floor = SYLVESTER_FLOOR * float(np.max(np.abs(denom)))
+    dark = int(np.count_nonzero(np.abs(np.diagonal(denom)) < floor))
+    if dark > 1:
+        raise SteadyStateError(f"{dark} dark states of the no-jump part; no unique fixed point")
     denom[np.abs(denom) < floor] = -floor
     v_h, v_inv_h = v.conj().T, v_inv.conj().T
 
@@ -477,20 +477,19 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     space with the cavity factor ``a`` the resulting nonsingular system is
     solved by GMRES, right-preconditioned with the inverse of L's no-jump
     part, and one correction step; the iterations and the residual are
-    logged at debug level. On every other space it is solved by sparse LU.
-    A sparsity pattern new to ``liou.orders`` is factored in the symmetric
-    minimum-degree order of A^T + A with diagonal pivots preferred, its
-    column order kept there and logged at debug level; a known one is
-    factored in that order. Either solver runs with SuperLU's and numpy's
-    OpenBLAS on one thread. The result is Hermitized, normalized to unit
-    trace, and validated.
+    logged at debug level. On every other space it is solved by sparse LU
+    in its pattern's column order from ``liou.orders``; a pattern new there
+    gets its order first, logged at debug level. Either solver runs with
+    its OpenBLAS pools on one thread. The result is Hermitized, normalized
+    to unit trace, and validated.
 
     Raises
     ------
     SteadyStateError
         If the factorization fails, GMRES exhausts ``KRYLOV_MAX_RESTARTS``
-        restarts, K has no eigenbasis, or the residual ||L vec(rho)||_max
-        exceeds tolerance (degenerate dark states, zero damping).
+        restarts, K has no eigenbasis or more than one dark state, or the
+        residual ||L vec(rho)||_max exceeds tolerance (degenerate dark
+        states, zero damping).
     StateValidityError
         If the solution violates density-matrix tolerances.
     """
@@ -504,23 +503,20 @@ def steady_state(liou: Liouvillian) -> DensityMatrix:
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = weight
     data, indices, indptr = _with_trace_row(liou.matrix, d, weight)
-    key = (indptr.tobytes(), indices.tobytes())
     krylov = "a" in liou.space.labels
-    try:
-        with _OneBlasThread():
-            if krylov:
-                a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-                x, iterations = _krylov_solve(a, rhs, _no_jump_inverse(liou.matrix, d))
-            elif key in liou.orders:
+    with _OneBlasThread():
+        if krylov:
+            a = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+            x, iterations = _krylov_solve(a, rhs, _no_jump_inverse(liou.matrix, d))
+        else:
+            key = (indptr.tobytes(), indices.tobytes())
+            try:
+                if key not in liou.orders:
+                    liou.orders[key] = ColumnOrder.of_system(data, indices, indptr)
+                    log.debug("new column order: %d stored entries on %r", len(indices), liou.space)
                 x = liou.orders[key].solve(data, rhs)
-            else:
-                mat = sp.csr_matrix((data, indices, indptr), shape=(n, n)).tocsc()
-                lu = splu(mat, permc_spec="MMD_AT_PLUS_A", options=_PIVOTING)
-                x = lu.solve(rhs)
-                liou.orders[key] = ColumnOrder.of_pattern(indices, indptr, lu.perm_c)
-                log.debug("new column order: %d stored entries on %r", len(indices), liou.space)
-    except RuntimeError as exc:  # SuperLU reports singularity this way
-        raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
+            except RuntimeError as exc:  # SuperLU reports singularity this way
+                raise SteadyStateError(f"sparse LU factorization failed: {exc}") from exc
     rho = unvec(x, d)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real

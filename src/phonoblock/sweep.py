@@ -114,8 +114,9 @@ class SweepSpec:
     to the default delay grid ``tau_grid`` with a ``g2_tau`` output, and
     ``root_branch`` to ``"+"`` when an optimum is used (``delta_opt`` as a
     field or an axis), and ``space`` to the model's space at those cutoffs.
-    A bad cutoff, delay grid, branch or ``delta_opt``, or an output whose
-    mode the space lacks, is rejected.
+    A bad cutoff, delay grid, branch or ``delta_opt``, an output whose mode
+    the space lacks, or, with an optimum, which sets the qubit drive, a
+    nonzero ``omega_drv`` or ``phi`` or an axis over either, is rejected.
     """
 
     axes: tuple[tuple[str, tuple[float, ...]], ...]
@@ -136,7 +137,8 @@ class SweepSpec:
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if len(axes) > 2:
             raise ParameterError(f"need at most 2 axes, got {len(axes)}")
-        valid = set(flat_params(self.fixed)) | {"delta_opt"}
+        flat = flat_params(self.fixed)
+        valid = set(flat) | {"delta_opt"}
         for name, values in axes:
             if name not in valid:
                 raise ParameterError(
@@ -161,6 +163,11 @@ class SweepSpec:
             raise ParameterError("delta_opt given both as a field and as an axis")
         if self.delta_opt is not None and not math.isfinite(self.delta_opt):
             raise ParameterError(f"delta_opt must be finite, got {self.delta_opt}")
+        optimum = self.delta_opt is not None or any(n == "delta_opt" for n, _ in axes)
+        if optimum and (given := [name for name in ("omega_drv", "phi")
+                                  if flat[name] != 0 or name in dict(axes)]):
+            raise ParameterError(f"delta_opt sets the qubit drive, so {' and '.join(given)} "
+                                 f"can be neither nonzero nor an axis")
         mech, cavity = model_cutoffs(self.fixed, self.mech_cutoff, self.cavity_cutoff)
         space = model_space(self.fixed, mech, cavity)
         _require_measurable([out for out in self.outputs if out in SCALAR_OUTPUTS], space)
@@ -169,7 +176,6 @@ class SweepSpec:
             tau_max = DEFAULT_TAU_MAX if self.tau_max is None else float(self.tau_max)
             tau_points = DEFAULT_TAU_POINTS if self.tau_points is None else self.tau_points
             grid = delay_grid(tau_max, tau_points)
-        optimum = self.delta_opt is not None or any(n == "delta_opt" for n, _ in axes)
         resolved = dict(mech_cutoff=mech, cavity_cutoff=cavity, space=space, tau_max=tau_max,
                         tau_points=tau_points, tau_grid=grid,
                         root_branch=(self.root_branch or "+") if optimum else None)

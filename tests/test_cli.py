@@ -135,6 +135,17 @@ def test_steady_matches_one_row_sweep(capsys):
         assert f"g2_0 = {result.columns['g2_zero'][0]:.6g}\n" in out
 
 
+def test_steady_refuses_a_qubit_drive_with_an_optimum(capsys):
+    # the optimum sets omega_drv and phi; given flags must not be dropped silently
+    argv = ["steady", "--j", "3", "--eps", "0.2", "--delta", "1", "--delta-opt", "3"]
+    assert cli_main([*argv, "--omega-drv", "0.5", "--phi", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("delta_opt sets the qubit drive, so omega_drv and phi can be neither nonzero "
+            "nor an axis") in captured.err
+    assert cli_main([*argv, "--omega-drv", "0", "--phi", "0"]) == 0
+
+
 def test_steady_and_g2tau_refuse_a_three_mode_config(tmp_path, capsys):
     # a readout key selects the three-mode model, which only detect and sweep run
     config_path = tmp_path / "three.cfg"

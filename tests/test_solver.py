@@ -209,10 +209,10 @@ def test_basis_rejects_non_hermitian_generator():
 
 
 def _tolil_steady_state(liou):
-    """Row 0 replaced through a LIL copy, then the solve steady_state makes on
-    a space without a cavity: a fresh factorization in the symmetric
-    minimum-degree order of A^T + A with diagonal pivots preferred, on the
-    same one BLAS thread."""
+    """Row 0 replaced through a LIL copy, then a fresh factorization in the
+    symmetric minimum-degree order of A^T + A with diagonal pivots preferred,
+    on the same one BLAS thread: what steady_state's solve in that order
+    reproduces bit for bit on a space without a cavity."""
     d = liou.dim
     weight = float(np.mean(np.abs(liou.matrix.data)))
     a = liou.matrix.tolil(copy=True)
@@ -297,13 +297,13 @@ def test_reused_column_order_is_bit_equal_to_a_fresh_factorization(
         _, indices, indptr = solver._with_trace_row(liou.matrix, liou.dim, 1.0)
         patterns.add((indptr.tobytes(), indices.tobytes()))
     assert 3 <= len(patterns) < len(_PATTERN_RUN)
-    # one fresh minimum-degree factorization per pattern, kept by the space's
-    # basis; every other point reuses its order and SuperLU permutes no column
-    # a second time
+    # one minimum-degree factorization per pattern supplies the order the
+    # space's basis keeps; every point, each pattern's first included, is
+    # solved in that order, and SuperLU permutes no column a second time
     assert set(liouvillian_basis(liou.space).orders) == patterns
     specs = [spec for spec, _ in factorizations]
     assert specs.count("MMD_AT_PLUS_A") == len(patterns)
-    assert specs.count("NATURAL") == len(_PATTERN_RUN) - len(patterns)
+    assert specs.count("NATURAL") == len(_PATTERN_RUN)
     n = liou.dim ** 2
     for spec, perm_c in factorizations:
         if spec == "NATURAL":
@@ -328,7 +328,7 @@ def test_evicted_basis_takes_its_column_orders_along(monkeypatch):
     assert rebuilt is not first and rebuilt.orders == {}
     liou = assemble(params, spaces[0])
     np.testing.assert_array_equal(steady_state(liou).mat, _tolil_steady_state(liou))
-    assert factorizations[-1][0] == "MMD_AT_PLUS_A"
+    assert [spec for spec, _ in factorizations[-2:]] == ["MMD_AT_PLUS_A", "NATURAL"]
     assert rebuilt.orders.keys() == first.orders.keys()
     _assert_owned_read_only(rebuilt.orders)
 
@@ -343,33 +343,35 @@ def test_kron_built_liouvillian_factors_with_fresh_minimum_degree_order(monkeypa
         liou = model_liouvillian(params, space)
         assert liou.orders == {}
         steady_state(liou)
-        assert factorizations[-1][0] == "MMD_AT_PLUS_A"
+        assert [spec for spec, _ in factorizations[-2:]] == ["MMD_AT_PLUS_A", "NATURAL"]
     assert len(liou.orders) == 1
 
 
 @pytest.fixture
-def blas_threads():
-    """The (get, set) thread-count calls of SuperLU's OpenBLAS; the count the
-    test found comes back after it."""
-    get, set_ = solver._superlu_blas_threads()
-    before = get()
-    yield get, set_
-    set_(before)
+def blas_pools():
+    """The (get, set) thread-count calls of SuperLU's and numpy's OpenBLAS;
+    the counts the test found come back after it."""
+    pools = solver._blas_pools()
+    before = [get() for get, _ in pools]
+    yield pools
+    for (_, set_), count in zip(pools, before):
+        set_(count)
 
 
-def test_superlu_blas_thread_calls_resolve_once_and_say_so(caplog):
-    # a scipy that renames its OpenBLAS calls fails here, instead of silently
-    # factoring on every thread again
-    solver._superlu_blas_threads.cache_clear()
+def test_blas_pool_thread_calls_resolve_once_and_say_so(caplog):
+    # a scipy or numpy that renames its OpenBLAS calls fails here, instead of
+    # silently solving on every thread again
+    solver._blas_pools.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="phonoblock"):
         for _ in range(2):
-            assert solver._superlu_blas_threads() is not None
-    [line] = [r.getMessage() for r in caplog.records if r.name == "phonoblock.solver"]
-    assert "openblas_set_num_threads" in line
+            assert len(solver._blas_pools()) == 2
+    lines = [r.getMessage() for r in caplog.records if r.name == "phonoblock.solver"]
+    assert [line.split()[0] for line in lines] == ["SuperLU", "numpy"]
+    assert all("openblas_set_num_threads" in line for line in lines)
 
 
-def test_three_mode_steady_state_does_not_depend_on_the_callers_blas_threads(blas_threads):
-    _, set_ = blas_threads
+def test_three_mode_steady_state_does_not_depend_on_the_callers_blas_threads(blas_pools):
+    [(_, set_), _] = blas_pools
     params = _three_mode(**_PATTERN_RUN[0])
     space = model_space(params, 3, 3)
     liouvillian_basis.cache_clear()
@@ -384,8 +386,9 @@ def test_three_mode_steady_state_does_not_depend_on_the_callers_blas_threads(bla
         np.testing.assert_array_equal(state, states[0])
 
 
-def test_steady_state_restores_the_callers_blas_threads(monkeypatch, blas_threads):
-    get, set_ = blas_threads
+def test_steady_state_restores_the_callers_blas_threads(monkeypatch, blas_pools):
+    [(get, set_), _] = blas_pools
+    liouvillian_basis.cache_clear()
     liou = assemble(MqParams(delta=1.0, j=2.0, eps=0.2, omega_drv=0.1, n_th=0.01),
                     two_mode_space(4))
     seen = []
@@ -407,14 +410,13 @@ def test_steady_state_restores_the_callers_blas_threads(monkeypatch, blas_thread
         with pytest.raises(SteadyStateError):
             steady_state(liou)
         assert get() == threads
-    # SuperLU itself ran on one thread each time
-    assert seen == [1, 1, 1, 1]
+    # SuperLU itself ran on one thread each time; the first solve factors
+    # twice, for the pattern's order and in it
+    assert seen == [1, 1, 1, 1, 1]
 
 
-def test_krylov_solve_runs_numpy_blas_on_one_thread_too(monkeypatch, blas_threads):
-    get, set_ = blas_threads
-    numpy_get, numpy_set = solver._numpy_blas_threads()
-    before = numpy_get()
+def test_krylov_solve_runs_numpy_blas_on_one_thread_too(monkeypatch, blas_pools):
+    [(get, set_), (numpy_get, numpy_set)] = blas_pools
     params = _three_mode(**_PATTERN_RUN[0])
     liou = assemble(params, model_space(params, 3, 3))
     seen = []
@@ -424,14 +426,11 @@ def test_krylov_solve_runs_numpy_blas_on_one_thread_too(monkeypatch, blas_thread
         return gmres(*args, **kwargs)
 
     monkeypatch.setattr(solver, "gmres", counting_gmres)
-    try:
-        for threads in (1, 2):
-            set_(threads)
-            numpy_set(threads)
-            steady_state(liou)
-            assert (get(), numpy_get()) == (threads, threads)
-    finally:
-        numpy_set(before)
+    for threads in (1, 2):
+        set_(threads)
+        numpy_set(threads)
+        steady_state(liou)
+        assert (get(), numpy_get()) == (threads, threads)
     # the solve and its correction step, twice
     assert seen == [(1, 1)] * 4
 
@@ -557,6 +556,23 @@ def test_steady_state_requires_damping():
     h = 0.3 * number(space, "m")
     with pytest.raises(SteadyStateError):
         steady_state(build_liouvillian(h, []))
+    # three-mode, by GMRES: every Fock projector is a dark state of K and a
+    # fixed point, so the solve must not return one of them
+    space = three_mode_space(2, 2)
+    h = Operator(space, 0.3 * number(space, "m").mat + 0.7 * number(space, "a").mat)
+    with pytest.raises(SteadyStateError, match="dark states"):
+        steady_state(build_liouvillian(h, []))
+
+
+@pytest.mark.parametrize("params, mech, cavity", [
+    (MqParams(**_PATTERN_RUN[0]), 4, None),
+    (_three_mode(**_PATTERN_RUN[0]), 3, 3),
+], ids=["two", "three"])
+def test_residual_above_the_gate_raises(monkeypatch, params, mech, cavity):
+    liou = assemble(params, model_space(params, mech, cavity))
+    monkeypatch.setattr(solver, "STEADY_RESIDUAL_RTOL", 1e-30)
+    with pytest.raises(SteadyStateError, match="steady-state residual .* exceeds 1e-30"):
+        steady_state(liou)
 
 
 def test_evolve_identity_generator():

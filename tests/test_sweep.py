@@ -132,6 +132,22 @@ def test_spec_validation():
         SweepSpec(axes=(("delta", (1.0,)),), fixed=WEAK, delta_opt=math.nan)
 
 
+def test_an_optimum_refuses_an_explicit_qubit_drive():
+    # the optimum derives omega_drv and phi, so an axis over either would
+    # write distinct values over identical rows
+    fixed = MqParams(j=3.0, eps=0.2, delta=1.0)
+    with pytest.raises(ParameterError, match="so omega_drv can be neither nonzero nor an axis"):
+        SweepSpec(axes=(("omega_drv", (0.0, 0.5, 1.0)),), fixed=fixed, delta_opt=3.0,
+                  mech_cutoff=5)
+    with pytest.raises(ParameterError, match="so phi can be neither"):
+        SweepSpec(axes=(("delta_opt", (3.0,)), ("phi", (0.0, 1.0))), fixed=fixed)
+    with pytest.raises(ParameterError, match="so omega_drv and phi can be neither"):
+        SweepSpec(axes=(), fixed=replace(fixed, omega_drv=0.5, phi=1.0), delta_opt=3.0)
+    # a config echo writes the drives as 0.0, which the rule accepts
+    spec = SweepSpec(axes=(), fixed=replace(fixed, omega_drv=0.0, phi=-0.0), delta_opt=3.0)
+    assert spec.params_at({}).omega_drv > 0
+
+
 @pytest.mark.parametrize(
     "outputs, task",
     [(("g2_zero", "n_b"), {}),
@@ -269,8 +285,8 @@ def test_convergence_study_supports_the_tail_threshold():
     assert study["convergence_rtol"] == sweep.CONVERGENCE_RTOL
     solving = {name for name, spec in sweep._PRESETS.items() if spec.outputs != ("eta_phi_roots",)}
     tables = study["tables"]
-    assert {t["preset"] for t in tables if t["default"]} == solving | {"criterion7"}
-    assert {t["preset"] for t in tables if t["mech_cutoff"] == 3} == solving | {"criterion7"}
+    assert {t["preset"] for t in tables if t["default"]} == solving
+    assert {t["preset"] for t in tables if t["mech_cutoff"] == 3} == solving
     for t in tables:
         # no row below the threshold is one the re-solve rejects
         if t["min_rejected_tail"] is not None:
